@@ -27,7 +27,7 @@ from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
 from .errors import AlgebraError, UnsupportedError
 from .scalars import ComplexRational
-from .spectrum import CompactBox, coefficient_bound, gelfand_eval
+from .spectrum import CompactBox, coefficient_bound
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,84 @@ def tabulated_target(values: Sequence[float], name: str = "tabulated",
     return TargetFunction(name, 1, fn, slack=slack)
 
 
+def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
+    """Exact maximum of |transform of a|^2 over ``box.grid_points(resolution)``.
+
+    Runs on Python integers: with D the common denominator of every axis
+    start and step, grid coordinates are the integers lo*D + k*step*D, and
+    with L the common denominator of the coefficients, term m scaled by
+    D**(deg - |m|) makes the value at every point N / (L * D**deg) for a
+    Gaussian integer N.  The largest |N|^2 is divided once at the end.
+    """
+    if a.is_zero():
+        return Fraction(0)
+    pres = a.pres
+    steps = [(hi - lo) / (resolution - 1) for lo, hi in box.intervals]
+    den = math.lcm(*(q.denominator for (lo, _), step in zip(box.intervals, steps)
+                     for q in (lo, step)))
+    by_gen: dict[int, list[list[int]]] = {}
+    for (gi, _), (lo, _), step in zip(spectrum.axis_layout(pres), box.intervals, steps):
+        x0, dx = int(lo * den), int(step * den)
+        by_gen.setdefault(gi, []).append([x0 + k * dx for k in range(resolution)])
+
+    # One group per axis generator.  At each of its grid values v (the
+    # adjoint partner takes conj(v)) every distinct factor v^p * conj(v)^q
+    # of the terms is tabulated once; ``partials`` lists those (p, q), or
+    # (p,) for a generator without a distinct partner.
+    groups = []
+    for gi, coords in by_gen.items():
+        partner = pres.adjoint[gi]
+        slots = (gi,) if partner is None or partner == gi else (gi, partner)
+        partials = sorted({tuple(m[i] for i in slots) for m, _ in a.terms})
+        if partials == [(0,) * len(slots)]:
+            continue  # the transform is constant along these axes
+        groups.append((slots, partials, coords))
+
+    deg = a.degree()
+    lcd = math.lcm(*(q.denominator for _, c in a.terms for q in (c.re, c.im)))
+    terms = []
+    for m, c in a.terms:
+        scale = lcd * den ** (deg - sum(m))
+        ids = tuple(partials.index(tuple(m[i] for i in slots))
+                    for slots, partials, _ in groups)
+        terms.append((int(c.re * scale), int(c.im * scale), ids))
+
+    tables = []
+    for slots, partials, coords in groups:
+        if len(coords) == 1:
+            points = [(x, 0) for x in coords[0]]
+        else:
+            points = list(itertools.product(*coords))
+        top = max(max(p) for p in partials)
+        table = []
+        for re, im in points:
+            powers = [(1, 0)]
+            for _ in range(top):
+                pr, pi = powers[-1]
+                powers.append((pr * re - pi * im, pr * im + pi * re))
+            row = []
+            for p in partials:
+                wr, wi = powers[p[0]]
+                if len(p) == 2:  # times the conjugate of the q-th power
+                    qr, qi = powers[p[1]]
+                    wr, wi = wr * qr + wi * qi, wi * qr - wr * qi
+                row.append((wr, wi))
+            table.append(row)
+        tables.append(table)
+
+    best = 0
+    for rows in itertools.product(*tables):
+        nr = ni = 0
+        for cr, ci, ids in terms:
+            for row, k in zip(rows, ids):
+                wr, wi = row[k]
+                cr, ci = cr * wr - ci * wi, cr * wi + ci * wr
+            nr += cr
+            ni += ci
+        best = max(best, nr * nr + ni * ni)
+    return Fraction(best, (lcd * den ** deg) ** 2)
+
+
 def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
                     resolution: int = 33) -> SeminormEstimate:
     """Bracket sup over the box of |subject|.
@@ -113,12 +191,8 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
     if resolution < 2:
         raise AlgebraError("seminorm needs a grid resolution of at least 2")
     if isinstance(subject, StarPoly):
-        max_sq = Fraction(0)
-        for p in box.grid_points(resolution):
-            value = gelfand_eval(subject, p)
-            assert isinstance(value, ComplexRational)
-            max_sq = max(max_sq, value.abs2())
         upper_exact = coefficient_bound(subject, box)
+        max_sq = _grid_max_abs2(subject, box, resolution)
         if max_sq > upper_exact * upper_exact:
             raise AssertionError("grid maximum exceeded its certified bound")
         lower = math.sqrt(max_sq)
@@ -210,6 +284,10 @@ def bernstein_approx(f: TargetFunction, n: int,
     dim = f.dim
     if not 1 <= dim <= 3:
         raise UnsupportedError("Bernstein approximation supports 1 to 3 axes")
+    if error_resolution is None:
+        error_resolution = {1: 10001, 2: 101, 3: 23}[dim]
+    elif error_resolution < 2:
+        raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
     if intervals is None:
         box_iv = [(Fraction(0), Fraction(1))] * dim
     else:
@@ -218,10 +296,11 @@ def bernstein_approx(f: TargetFunction, n: int,
             raise AlgebraError("interval count does not match target dimension")
 
     # node values, exactly when the target supports it
+    nodes = [[lo + (hi - lo) * Fraction(k, n) for k in range(n + 1)]
+             for lo, hi in box_iv]
     exact_vals: dict[tuple[int, ...], ComplexRational] = {}
     for key in itertools.product(range(n + 1), repeat=dim):
-        node01 = tuple(Fraction(k, n) for k in key)
-        mapped = tuple(lo + (hi - lo) * t for (lo, hi), t in zip(box_iv, node01))
+        mapped = tuple(axis_nodes[k] for axis_nodes, k in zip(nodes, key))
         if f.exact_fn is not None:
             raw = f.exact_fn(mapped)
             value = raw if isinstance(raw, ComplexRational) else ComplexRational(raw)
@@ -231,33 +310,34 @@ def bernstein_approx(f: TargetFunction, n: int,
             value = ComplexRational(Fraction(c.real), Fraction(c.imag))
         exact_vals[key] = value
 
-    # expand into the monomial basis, one axis at a time, exactly
+    # expand into the monomial basis, one axis at a time, on integer
+    # numerators over the common denominator of the node values
     expand = [[0] * (n + 1) for _ in range(n + 1)]
     for k in range(n + 1):
         lead = math.comb(n, k)
         for m in range(k, n + 1):
             expand[k][m] = lead * math.comb(n - k, m - k) * (-1 if (m - k) % 2 else 1)
-    tensor: dict[tuple[int, ...], ComplexRational] = dict(exact_vals)
+    den = math.lcm(*(q.denominator for v in exact_vals.values() for q in (v.re, v.im)))
+    tensor = {key: (int(v.re * den), int(v.im * den)) for key, v in exact_vals.items()}
     for axis in range(dim):
-        contracted: dict[tuple[int, ...], ComplexRational] = {}
-        for key, val in tensor.items():
-            if val.is_zero():
+        contracted: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, (vr, vi) in tensor.items():
+            if not (vr or vi):
                 continue
             k = key[axis]
+            row = expand[k]
             for m in range(k, n + 1):
-                e = expand[k][m]
-                if e:
-                    new_key = key[:axis] + (m,) + key[axis + 1:]
-                    acc = contracted.get(new_key)
-                    contracted[new_key] = val * e if acc is None else acc + val * e
+                e = row[m]
+                new_key = key[:axis] + (m,) + key[axis + 1:]
+                ar, ai = contracted.get(new_key, (0, 0))
+                contracted[new_key] = (ar + vr * e, ai + vi * e)
         tensor = contracted
     pres = _coordinate_presentation(dim)
-    poly = pres.poly({k: v for k, v in tensor.items() if not v.is_zero()})
+    poly = pres.poly({k: ComplexRational(Fraction(vr, den), Fraction(vi, den))
+                      for k, (vr, vi) in tensor.items() if vr or vi})
 
     # error of |f - B| on a grid, via the stable evaluator
     float_vals = {k: complex(v) for k, v in exact_vals.items()}
-    if error_resolution is None:
-        error_resolution = {1: 10001, 2: 101, 3: 23}[dim]
     axes01 = [np.linspace(0.0, 1.0, error_resolution) for _ in range(dim)]
     basis_per_axis = [_basis_matrix(n, ax) for ax in axes01]
     tensor_f = np.zeros((n + 1,) * dim, dtype=complex)
@@ -265,11 +345,14 @@ def bernstein_approx(f: TargetFunction, n: int,
         tensor_f[key] = val
     spec_map = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}
     approx_vals = np.einsum(spec_map[dim], *basis_per_axis, tensor_f)
+    mapped_axes = []
+    for (lo, hi), ax in zip(box_iv, axes01):
+        lo_f, hi_f = float(lo), float(hi)
+        mapped_axes.append([lo_f + (hi_f - lo_f) * t for t in ax])
     best = 0.0
-    for idx in itertools.product(*(range(error_resolution) for _ in range(dim))):
-        mapped = tuple(float(lo) + (float(hi) - float(lo)) * axes01[axis][i]
-                       for axis, ((lo, hi), i) in enumerate(zip(box_iv, idx)))
-        err = abs(complex(f.fn(mapped)) - approx_vals[idx])
+    # product order is the C order of approx_vals
+    for mapped, approx_val in zip(itertools.product(*mapped_axes), approx_vals.flat):
+        err = abs(complex(f.fn(mapped)) - approx_val)
         best = max(best, err)
     error = SeminormEstimate(best, best * (1.0 + f.slack), error_resolution, False)
     return BernsteinResult(poly, n, float_vals, error)

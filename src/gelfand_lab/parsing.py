@@ -347,8 +347,8 @@ class Parser:
         if tok.kind == "punct" and tok.text == "(":
             lit = self._try_complex_literal(allow_float=False)
             if lit is not None:
-                value, _ = lit
-                if not isinstance(value, ComplexRational):
+                value, exact = lit
+                if not exact:
                     self.error("floating point literals are not allowed in "
                                "polynomial input", tok)
                 return {scope.unit(): value} if not value.is_zero() else {}
@@ -437,7 +437,7 @@ class Parser:
             return sign * value, False
         return sign * self._rational(signed=False), True
 
-    def _try_complex_literal(self, allow_float: bool) -> tuple[Value, bool] | None:
+    def _try_complex_literal(self, allow_float: bool) -> tuple[ComplexRational, bool] | None:
         """Attempt "(" num [("+"|"-") num "i"] ")" with backtracking."""
         if not self.at("punct", "("):
             return None
@@ -456,22 +456,26 @@ class Parser:
         except ParseError:
             self.pos = save
             return None
-        exact = re_exact and im_exact
-        value: Value = ComplexRational(re, im)
-        if not exact:
-            value = complex(value)
-        return value, exact
+        return ComplexRational(re, im), re_exact and im_exact
 
     def scalar_value(self) -> tuple[Value, bool]:
         """A standalone numeric value: rational, decimal float, or complex
         literal.  Used for character values and atomic state support points."""
+        start = self.pos
         lit = self._try_complex_literal(allow_float=True)
-        if lit is not None:
-            return lit
-        value, exact = self._number(signed=True, allow_float=True)
+        if lit is None:
+            re, exact = self._number(signed=True, allow_float=True)
+            lit = ComplexRational(re), exact
+        value, exact = lit
         if exact:
-            return ComplexRational(value), True
-        return complex(float(value), 0.0), False
+            return value, True
+        try:
+            return complex(value), False
+        except OverflowError:
+            text = "".join(tok.text for tok in self.tokens[start:self.pos])
+            self.error(f"numeric literal {text!r} is too large for a floating "
+                       "point value", self.tokens[start])
+            raise AssertionError  # unreachable
 
     # ── characters ───────────────────────────────────────────────────
 

@@ -31,12 +31,6 @@ FLOAT_TOLERANCE = 1e-12
 UNBOUNDED_THRESHOLD = 1e9
 
 
-def _conj(v: Value) -> Value:
-    if isinstance(v, ComplexRational):
-        return v.conjugate()
-    return v.conjugate()
-
-
 def _abs(v: Value) -> float:
     if isinstance(v, ComplexRational):
         return float(v.abs2()) ** 0.5
@@ -110,7 +104,7 @@ def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
             j = pres.partner(i)
             pg = pres.generators[j]
             if j != i and g in assignment and pg not in assignment:
-                assignment[pg] = _conj(assignment[g])
+                assignment[pg] = assignment[g].conjugate()
     missing = [g for g in pres.generators if g not in assignment]
     if missing:
         raise CharacterError(f"no value for generator {missing[0]!r}", "coverage")
@@ -136,7 +130,7 @@ def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
                         f"self-adjoint generator {g!r} must take a real value",
                         "reality")
             elif j > i:
-                expected = _conj(values[i])
+                expected = values[i].conjugate()
                 bad = (values[j] != expected) if exact \
                     else abs(values[j] - expected) > tolerance
                 if bad:
@@ -217,7 +211,7 @@ def extend_character_free(pres: StarPresentation, p: Character) -> Character:
     assignment: dict[str, Value] = {}
     for i, g in enumerate(pres.generators):
         assignment[fa.generators[2 * i]] = p.values[i]
-        assignment[fa.generators[2 * i + 1]] = _conj(p.values[i])
+        assignment[fa.generators[2 * i + 1]] = p.values[i].conjugate()
     return validate_character(fa, assignment)
 
 
@@ -275,7 +269,7 @@ def character_from_axes(pres: StarPresentation,
         values[gi] = v
         a = pres.adjoint[gi]
         if a is not None and a != gi:
-            values[a] = _conj(v)
+            values[a] = v.conjugate()
     return Character(pres, tuple(values), exact)
 
 

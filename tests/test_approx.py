@@ -1,11 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gelfand_lab as gl
-from gelfand_lab import ComplexRational, TargetFunction
+from gelfand_lab import ComplexRational, CompactBox, TargetFunction, approx
 from gelfand_lab.errors import AlgebraError, UnsupportedError
 
 from helpers import circle, disk, line, plain, rand_poly
@@ -75,6 +79,57 @@ def test_seminorm_of_target_function():
     est = gl.seminorm_on_box(f, box, resolution=101)
     assert est.lower == pytest.approx(1.0)
     assert est.lower <= est.upper
+
+
+GRID_PRESENTATIONS = {
+    "line": line,
+    "disk": disk,
+    "pair": lambda: gl.parse_presentation("algebra Pair ; generator z, w : free ;"),
+    "plain": plain,  # algebra mode: x has no adjoint partner
+}
+
+grid_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+grid_widths = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 7),
+                               Fraction(1), Fraction(5, 2)])
+
+
+@st.composite
+def grid_cases(draw):
+    pres = GRID_PRESENTATIONS[draw(st.sampled_from(sorted(GRID_PRESENTATIONS)))]()
+    dim = len(gl.axis_layout(pres))
+    intervals = [(lo, lo + draw(grid_widths))
+                 for lo in draw(st.lists(grid_fractions, min_size=dim, max_size=dim))]
+    monos = st.tuples(*[st.integers(0, 3)] * len(pres.generators))
+    table = draw(st.dictionaries(
+        monos, st.builds(ComplexRational, grid_fractions, grid_fractions), max_size=4))
+    resolution = draw(st.integers(2, 4))
+    return pres.poly(table), CompactBox.from_intervals(pres, intervals), resolution
+
+
+def assert_grid_bracket_exact(a, box, resolution):
+    est = gl.seminorm_on_box(a, box, resolution=resolution)
+    assert est.lower_sq == max(gl.gelfand_eval(a, p).abs2()
+                               for p in box.grid_points(resolution))
+    assert est.upper_exact == gl.coefficient_bound(a, box)
+
+
+@given(grid_cases())
+def test_seminorm_grid_matches_character_evaluation(case):
+    assert_grid_bracket_exact(*case)
+
+
+@pytest.mark.parametrize("pres_name, poly, box, resolution", [
+    ("line", "0", "x = [-1, 2]", 5),
+    ("disk", "(3/7-2i)", "z = [-1, 1] x [0, 1/2]", 4),
+    ("line", "x^3 - 1/3*x + 2", "x = [1/3, 1/3]", 4),
+    ("disk", "z^2*adj(z) + 1/7*z - (0+1/3i)", "z = [-1/3, 2/7] x [1/7, 2/3]", 6),
+    ("pair", "z*adj(w) + w^2 - 1/2", "z = [-1, 1/3] x [0, 2/7] ; w = [1, 1] x [-1/7, 1]", 2),
+    ("plain", "x^2 + (0+1i)*x - 1/3", "x = [-1/3, 1/2] x [1/7, 1]", 5),
+], ids=["zero", "constant", "degenerate", "thirds-sevenths", "pair-res2", "unpaired"])
+def test_seminorm_grid_edge_cases(pres_name, poly, box, resolution):
+    pres = GRID_PRESENTATIONS[pres_name]()
+    assert_grid_bracket_exact(gl.parse_poly(poly, pres), gl.parse_box(box, pres),
+                              resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +205,69 @@ def test_bernstein_rejects_bad_requests():
     big = TargetFunction(name="big", dim=4, fn=lambda p: 0.0)
     with pytest.raises(UnsupportedError):
         gl.bernstein_approx(big, 2)
+    for resolution in (-1, 0, 1):
+        with pytest.raises(AlgebraError, match="resolution"):
+            gl.bernstein_approx(f, 2, error_resolution=resolution)
+        with pytest.raises(AlgebraError, match="resolution"):
+            gl.density_witness(f, 0.1, error_resolution=resolution)
+
+
+def reference_bernstein(f, n, intervals, resolution):
+    """Expansion by per-term ComplexRational multiply-adds, and the float
+    error grid indexed point by point: the tables the integer contraction
+    and the hoisted error loop must reproduce exactly."""
+    box_iv = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
+    nodes = {}
+    for key in itertools.product(range(n + 1), repeat=f.dim):
+        mapped = tuple(lo + (hi - lo) * Fraction(k, n) for (lo, hi), k in zip(box_iv, key))
+        if f.exact_fn is not None:
+            nodes[key] = ComplexRational.coerce(f.exact_fn(mapped))
+        else:
+            c = complex(f.fn(tuple(float(x) for x in mapped)))
+            nodes[key] = ComplexRational(Fraction(c.real), Fraction(c.imag))
+    tensor = dict(nodes)
+    for axis in range(f.dim):
+        contracted = {}
+        for key, val in tensor.items():
+            k = key[axis]
+            for m in range(k, n + 1):
+                e = math.comb(n, k) * math.comb(n - k, m - k) * (-1) ** (m - k)
+                new_key = key[:axis] + (m,) + key[axis + 1:]
+                contracted[new_key] = contracted.get(new_key, ComplexRational(0)) + val * e
+        tensor = contracted
+
+    axes01 = [np.linspace(0.0, 1.0, resolution) for _ in range(f.dim)]
+    tensor_f = np.zeros((n + 1,) * f.dim, dtype=complex)
+    for key, val in nodes.items():
+        tensor_f[key] = complex(val)
+    spec = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}[f.dim]
+    approx_vals = np.einsum(spec, *(approx._basis_matrix(n, ax) for ax in axes01), tensor_f)
+    error = 0.0
+    for idx in itertools.product(range(resolution), repeat=f.dim):
+        mapped = tuple(float(lo) + (float(hi) - float(lo)) * axes01[axis][i]
+                       for axis, ((lo, hi), i) in enumerate(zip(box_iv, idx)))
+        error = max(error, abs(complex(f.fn(mapped)) - approx_vals[idx]))
+    return tensor, error
+
+
+@pytest.mark.parametrize("f, n, intervals, resolution", [
+    (gl.catalog_target("abs-shift"), 9, [(Fraction(-1, 3), Fraction(5, 7))], 101),
+    (gl.catalog_target("exp"), 7, [(Fraction(1, 2), 3)], 101),
+    (TargetFunction("mixed", 2, fn=lambda p: complex(p[0] * p[1], p[0] - p[1]),
+                    exact_fn=lambda p: ComplexRational(p[0] * p[1], p[0] - p[1])),
+     4, [(Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 5), 3)], 21),
+    (TargetFunction("wave", 2, fn=lambda p: math.sin(p[0]) + 1j * p[1] ** 2),
+     5, [(-1, 2), (Fraction(1, 3), Fraction(4, 3))], 21),
+    (TargetFunction("kink", 3, fn=lambda p: complex(abs(p[0] - p[1]), p[0] * p[2]),
+                    exact_fn=lambda p: ComplexRational(abs(p[0] - p[1]), p[0] * p[2])),
+     3, [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)], 9),
+], ids=["line-exact", "line-float-nodes", "plane-exact", "plane-float-nodes",
+        "cube-exact"])
+def test_bernstein_matches_reference_expansion(f, n, intervals, resolution):
+    result = gl.bernstein_approx(f, n, intervals=intervals, error_resolution=resolution)
+    table, error = reference_bernstein(f, n, intervals, resolution)
+    assert result.poly == result.pres.poly(table)
+    assert result.error.lower == error
 
 
 def test_density_witness():

@@ -154,6 +154,23 @@ def test_approx_epsilon_search(capsys):
     assert "--degree" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["approx", "--target", "square", "--degree", "2", "--resolution", "0"],
+    ["approx", "--target", "square", "--degree", "2", "--resolution", "-1"],
+    ["approx", "--target", "abs-shift", "--epsilon", "0.1", "--resolution", "1"],
+    ["eval", "line", "--char", "x=1e400", "--poly", "x"],
+    ["eval", "disk", "--char", "z=(1+1e400i)", "--poly", "z"],
+], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
+        "complex-overflow"])
+def test_bad_numbers_exit_one_without_traceback(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_wirtinger(files, capsys):
     code, doc, _ = run_json(capsys, "wirtinger", files["disk"],
                             "--poly", "z^2 + z*adj(z)")

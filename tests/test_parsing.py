@@ -160,6 +160,10 @@ def test_character_validation_errors():
         gl.parse_character("q = 1", line())
     with pytest.raises(ParseError, match="twice"):
         gl.parse_character("x = 1 ; x = 2", line())
+    with pytest.raises(ParseError, match="'-1e400' is too large"):
+        gl.parse_character("x = -1e400", line())
+    with pytest.raises(ParseError, match=r"'\(2e308\+1i\)' is too large"):
+        gl.parse_character("z = (2e308+1i)", disk())
 
 
 # ---------------------------------------------------------------------------
