@@ -8,7 +8,7 @@ approximation, and the GNS construction from states.
 
 from .algebra import (MODE_ALGEBRA, MODE_STAR, Morphism, StarPoly,
                       StarPresentation, compose, extend_hom, free_star,
-                      identity_morphism, involute, is_star_hom, reinterpret,
+                      identity_morphism, is_star_hom, reinterpret,
                       restrict_hom, underlying, underlying_morphism,
                       verify_rewrite_trace)
 from .approx import (BernsteinResult, SeminormEstimate, TargetFunction,
@@ -18,15 +18,15 @@ from .approx import (BernsteinResult, SeminormEstimate, TargetFunction,
 from .errors import (AlgebraError, CharacterError, GelfandError, GnsError,
                      MorphismError, ParseError, PresentationError,
                      RewriteBudgetError, StateError, UnsupportedError)
-from .parsing import (format_character, format_poly, format_value, parse_box,
+from .parsing import (format_character, format_poly, parse_box,
                       parse_character, parse_morphism, parse_poly,
                       parse_presentation, parse_state)
 from .scalars import ComplexRational
 from .spectrum import (BoxSampler, Character, CompactBox, CompactnessReport,
                        GridSampler, RadicalReport, SampleSet, axis_layout,
                        character_from_axes, coefficient_bound,
-                       extend_character_free, gelfand_eval, is_nilpotent,
-                       naturality_inclusion, pushforward,
+                       extend_character_free, format_value, gelfand_eval,
+                       is_nilpotent, naturality_inclusion, pushforward,
                        radical_vanishing_check, relative_compactness_check,
                        restrict_character_free, separating_generator,
                        validate_character)

@@ -53,6 +53,14 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def mono_involute(adjoint: Sequence[int], m: Monomial) -> Monomial:
+    """Swap each exponent onto the partner slot."""
+    swapped = [0] * len(m)
+    for i, e in enumerate(m):
+        swapped[adjoint[i]] += e
+    return tuple(swapped)
+
+
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b componentwise."""
     return all(x <= y for x, y in zip(a, b))
@@ -98,10 +106,7 @@ def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) 
     """Conjugate coefficients and swap each exponent onto the partner slot."""
     out: RawTable = {}
     for mono, coeff in a.items():
-        swapped = [0] * len(mono)
-        for i, e in enumerate(mono):
-            swapped[adjoint[i]] += e
-        key = tuple(swapped)
+        key = mono_involute(adjoint, mono)
         c = out.get(key, ZERO) + coeff.conjugate()
         if c.is_zero():
             out.pop(key, None)
@@ -535,8 +540,7 @@ class StarPoly:
         """The image under the involution; rejects algebra-mode elements."""
         if not self.pres.is_star:
             raise AlgebraError("underlying algebra carries no involution")
-        adjoint = [a for a in self.pres.adjoint]
-        return self.pres.poly(raw_involute(adjoint, self.as_table()))
+        return self.pres.poly(raw_involute(self.pres.adjoint, self.as_table()))
 
     # ---- identity ----
 
@@ -556,10 +560,6 @@ class StarPoly:
 
     def __repr__(self) -> str:
         return f"<StarPoly {self}>"
-
-
-def involute(a: StarPoly) -> StarPoly:
-    return a.involute()
 
 
 # ---------------------------------------------------------------------------

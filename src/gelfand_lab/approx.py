@@ -362,6 +362,8 @@ def density_witness(f: TargetFunction, epsilon: float,
                     max_degree: int = 256,
                     error_resolution: int | None = None) -> BernsteinResult | None:
     """Search doubling degrees for a Bernstein approximant within epsilon."""
+    if error_resolution is not None and error_resolution < 2:
+        raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
     n = 4
     while n <= max_degree:
         result = bernstein_approx(f, n, error_resolution=error_resolution)

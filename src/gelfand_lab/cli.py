@@ -31,12 +31,11 @@ from . import approx, spectrum, states
 from .algebra import (MODE_ALGEBRA, MODE_STAR, Morphism, StarPresentation,
                       free_star, underlying)
 from .errors import CharacterError, GelfandError, GnsError
-from .parsing import (format_character, format_poly, format_terms,
-                      format_value, parse_box, parse_character,
-                      parse_morphism, parse_poly, parse_presentation,
-                      parse_state)
+from .parsing import (format_character, format_poly, format_terms, parse_box,
+                      parse_character, parse_morphism, parse_poly,
+                      parse_presentation, parse_state)
 from .scalars import ComplexRational
-from .spectrum import Character, CompactBox
+from .spectrum import Character, CompactBox, format_value
 
 SCHEMA = "gelfand-lab/1"
 
@@ -90,22 +89,6 @@ def canonical_box(box: CompactBox) -> str:
         parts.append(f"{box.pres.generators[gi]} = {spans}")
         pos += count
     return "box { " + " ; ".join(parts) + " }"
-
-
-def canonical_state(state: states.State) -> str:
-    if state.kind == "atomic":
-        parts = []
-        for char, weight in state.atoms:
-            assigns = " ; ".join(
-                f"{g} = {format_value(v)}"
-                for g, v in zip(state.pres.generators, char.values))
-            parts.append(f"({assigns}) : {weight}")
-        return "state atomic { " + " ; ".join(parts) + " }"
-    if state.kind == "analytic":
-        return f"state {state.density_name}({state.generator})"
-    spans = " x ".join(f"[{lo}, {hi}]" for lo, hi in state.support_box.intervals)
-    return (f'state density "{state.density_name}" on {spans} '
-            f"order {state.order}")
 
 
 def canonical_morphism(f: Morphism) -> str:
@@ -356,7 +339,7 @@ def cmd_state_check(args) -> tuple[dict, list[str], int]:
     model = states.gns_basis(states.gram_matrix(state, args.degree))
     report = base_report("state-check", {
         "mode": pres.mode, "presentation": canonical_presentation(pres),
-        "state": canonical_state(state)})
+        "state": state.source})
     report.update(kind=state.kind, exact=state.exact,
                   densely_defined=state.densely_defined, degree=args.degree,
                   basis_size=len(model.basis), gram_psd=True,
@@ -376,7 +359,7 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
     model = states.gns_basis(states.gram_matrix(state, args.degree))
     report = base_report("gns", {
         "mode": pres.mode, "presentation": canonical_presentation(pres),
-        "state": canonical_state(state)})
+        "state": state.source})
     basis_polys = [format_poly(model.basis_poly(i))
                    for i in range(len(model.basis))]
     if model.exact:

@@ -49,6 +49,10 @@ Value = Union[ComplexRational, complex]
 
 _PUNCT = set(";,:^*+-()={}[]/")
 
+# Each level of ( ) or adj( ) costs about five interpreter frames; this
+# keeps deep input far from the recursion limit.
+MAX_NESTING = 100
+
 
 # ── tokens ───────────────────────────────────────────────────────────────
 
@@ -173,6 +177,7 @@ class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # token access
 
@@ -353,11 +358,19 @@ class Parser:
                                "polynomial input", tok)
                 return {scope.unit(): value} if not value.is_zero() else {}
             self.advance()
-            table = self.poly(scope)
+            table = self.nested_poly(scope, tok)
             self.expect("punct", ")")
             return table
         self.error(f"unexpected token {tok.text!r} in polynomial", tok)
         raise AssertionError  # unreachable
+
+    def nested_poly(self, scope: _GenScope, opener: Token) -> RawTable:
+        if self.depth >= MAX_NESTING:
+            self.error(f"expression nests deeper than {MAX_NESTING} levels", opener)
+        self.depth += 1
+        table = self.poly(scope)
+        self.depth -= 1
+        return table
 
     def _adj_atom(self, scope: _GenScope) -> RawTable:
         # A literal generator called adj(...)? Auto-named adjoint partners
@@ -387,7 +400,7 @@ class Parser:
         self.pos = save
         adj_tok = self.advance()  # 'adj'
         self.expect("punct", "(")
-        inner = self.poly(scope)
+        inner = self.nested_poly(scope, adj_tok)
         self.expect("punct", ")")
         if not scope.star:
             self.error("adj(...) needs an involution; this is a plain "
@@ -458,24 +471,15 @@ class Parser:
             return None
         return ComplexRational(re, im), re_exact and im_exact
 
-    def scalar_value(self) -> tuple[Value, bool]:
+    def scalar_value(self) -> tuple[ComplexRational, bool]:
         """A standalone numeric value: rational, decimal float, or complex
-        literal.  Used for character values and atomic state support points."""
-        start = self.pos
+        literal, with its literal-was-exact flag.  Used for character values
+        and atomic state support points."""
         lit = self._try_complex_literal(allow_float=True)
         if lit is None:
             re, exact = self._number(signed=True, allow_float=True)
             lit = ComplexRational(re), exact
-        value, exact = lit
-        if exact:
-            return value, True
-        try:
-            return complex(value), False
-        except OverflowError:
-            text = "".join(tok.text for tok in self.tokens[start:self.pos])
-            self.error(f"numeric literal {text!r} is too large for a floating "
-                       "point value", self.tokens[start])
-            raise AssertionError  # unreachable
+        return lit
 
     # ── characters ───────────────────────────────────────────────────
 
@@ -492,8 +496,10 @@ class Parser:
         return name
 
     def assignment_entries(self, pres: StarPresentation,
-                           closing: str | None) -> tuple[dict[str, Value], bool]:
-        values: dict[str, Value] = {}
+                           closing: str | None) -> dict[str, Value]:
+        """Values of one assignment: all exact, or (when any literal is a
+        float) all converted to machine complex numbers."""
+        literals: dict[str, tuple[ComplexRational, int, int]] = {}
         exact = True
         while True:
             if closing is not None and self.at("punct", closing):
@@ -501,29 +507,38 @@ class Parser:
             if closing is None and self.at("eof"):
                 break
             key = self._value_key(pres)
-            if key in values:
+            if key in literals:
                 self.error(f"generator {key!r} assigned twice")
             self.expect("punct", "=")
+            start = self.pos
             value, value_exact = self.scalar_value()
-            values[key] = value
+            literals[key] = (value, start, self.pos)
             exact = exact and value_exact
             if not (self.accept("punct", ";") or self.accept("punct", ",")):
                 break
-        if not values:
+        if not literals:
             self.error("empty assignment")
-        return values, exact
+        if exact:
+            return {k: v for k, (v, _, _) in literals.items()}
+        return {k: self._as_float(*lit) for k, lit in literals.items()}
+
+    def _as_float(self, value: ComplexRational, start: int, end: int) -> complex:
+        try:
+            return complex(value)
+        except OverflowError:
+            text = "".join(tok.text for tok in self.tokens[start:end])
+            self.error(f"numeric literal {text!r} is too large for a floating "
+                       "point value", self.tokens[start])
+            raise AssertionError  # unreachable
 
     def character(self, pres: StarPresentation, tolerance: float) -> spectrum.Character:
         self.accept("ident", "char")
         if self.accept("punct", "{"):
-            values, exact = self.assignment_entries(pres, closing="}")
+            values = self.assignment_entries(pres, closing="}")
             self.expect("punct", "}")
         else:
-            values, exact = self.assignment_entries(pres, closing=None)
+            values = self.assignment_entries(pres, closing=None)
         # validate_character fills missing partner values itself
-        if not exact:
-            values = {k: complex(v) if isinstance(v, ComplexRational) else v
-                      for k, v in values.items()}
         return spectrum.validate_character(pres, values, tolerance=tolerance)
 
     # ── boxes ────────────────────────────────────────────────────────
@@ -575,7 +590,7 @@ class Parser:
             atoms: list[tuple[dict[str, Value], Fraction]] = []
             while not self.at("punct", "}"):
                 self.expect("punct", "(")
-                values, _ = self.assignment_entries(pres, closing=")")
+                values = self.assignment_entries(pres, closing=")")
                 self.expect("punct", ")")
                 self.expect("punct", ":")
                 weight = self._rational(signed=True)
@@ -735,16 +750,7 @@ def format_poly(p: StarPoly) -> str:
     return format_terms(p.pres, p.terms)
 
 
-def format_value(value: Value) -> str:
-    if isinstance(value, ComplexRational):
-        return value.literal()
-    if value.imag == 0:
-        return repr(value.real)
-    sign = "+" if value.imag >= 0 else "-"
-    return f"({value.real!r}{sign}{abs(value.imag)!r}i)"
-
-
 def format_character(char: spectrum.Character) -> str:
-    parts = [f"{g} = {format_value(v)}"
+    parts = [f"{g} = {spectrum.format_value(v)}"
              for g, v in zip(char.pres.generators, char.values)]
     return "char { " + " ; ".join(parts) + " }"

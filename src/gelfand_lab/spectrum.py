@@ -83,6 +83,16 @@ def _eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
     return total_f
 
 
+def format_value(value: Value) -> str:
+    """Canonical literal of a character value: exact, or float repr."""
+    if isinstance(value, ComplexRational):
+        return value.literal()
+    if value.imag == 0:
+        return repr(value.real)
+    sign = "+" if value.imag >= 0 else "-"
+    return f"({value.real!r}{sign}{abs(value.imag)!r}i)"
+
+
 def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
                        tolerance: float = FLOAT_TOLERANCE) -> Character:
     """Check coverage, adjoint compatibility, and every relation.

@@ -1,33 +1,34 @@
 """States and the GNS construction on presented *-algebras.
 
-A state is a unital positive expectation functional.  Three kinds are
-supported: atomic (finite convex combinations of characters, exact when the
-weights and support are rational), quadrature (a box with a density,
-integrated by tensor Gauss-Legendre rules), and analytic (a moment rule such
-as the standard Gaussian, which is densely defined rather than supported on
-a compact box, but still assigns every polynomial an exact expectation).
+A state is a unital positive linear functional, held as one closure.
+Atomic states (finite convex combinations of characters, exact when the
+support is rational) and quadrature states (a box with a density, by tensor
+Gauss-Legendre rules) are weighted point evaluations; analytic states apply
+a moment rule such as the standard Gaussian, which is densely defined
+rather than compactly supported, but still exact on every polynomial.
 
 The GNS model is built degree by degree: the Gram matrix of the pairing
 E(adj(a) * b) on irreducible monomials up to the chosen degree, its null
 space (the zero-length directions that the quotient removes), and an
-orthonormal basis of the complement.  On exact states everything up to the
-final normalization square roots is rational arithmetic, so null vectors
-like x^2 - 1 come out exactly.
+orthonormal basis of the complement.  Every entry is read from a per-model
+moment table, so each distinct moment is evaluated once.  On exact states
+everything up to the final normalization square roots is rational
+arithmetic, so null vectors like x^2 - 1 come out exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from . import algebra, spectrum
-from .algebra import Monomial, StarPoly, StarPresentation, raw_involute, raw_mul
-from .errors import AlgebraError, GnsError, StateError
+from . import spectrum
+from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
+from .errors import GnsError, StateError
 from .scalars import ONE, ComplexRational
-from .spectrum import Character, CompactBox, axis_layout, gelfand_eval
+from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
 
 Value = Union[ComplexRational, complex]
 
@@ -41,18 +42,13 @@ NULL_THRESHOLD = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class State:
-    kind: str  # atomic | quadrature | analytic
+    kind: str  # report label only: atomic | quadrature | analytic
     pres: StarPresentation
     exact: bool
     densely_defined: bool
     support_box: CompactBox | None
-    atoms: tuple[tuple[Character, Fraction], ...] | None = None
-    nodes: tuple[Character, ...] | None = None
-    weights: tuple[float, ...] | None = None
-    density_name: str | None = None
-    order: int | None = None
-    generator: str | None = None
-    moment_fn: Callable[[Monomial], ComplexRational] | None = None
+    source: str  # canonical state text, read back by parse_state
+    functional: Callable[[StarPoly], Value]  # a -> E(a)
 
     def expect(self, a: StarPoly) -> Value:
         return expect(self, a)
@@ -66,12 +62,7 @@ def _axis_coordinates(char: Character) -> list[Fraction]:
             re, im = v.re, v.im
         else:
             re, im = Fraction(v.real), Fraction(v.imag)
-        if role == "val":
-            coords.append(re)
-        elif role == "re":
-            coords.append(re)
-        else:
-            coords.append(im)
+        coords.append(im if role == "im" else re)
     return coords
 
 
@@ -82,6 +73,23 @@ def _bounding_box(pres: StarPresentation,
     coords = [_axis_coordinates(c) for c in chars]
     intervals = [(min(col), max(col)) for col in zip(*coords)]
     return CompactBox.from_intervals(pres, intervals)
+
+
+def _point_state(kind: str, pres: StarPresentation, box: CompactBox | None,
+                 source: str, points: Sequence[Character],
+                 weights: Sequence[Union[Fraction, float]]) -> State:
+    """E(a) = sum of w * a(p) over weighted points; exact when every point is."""
+    exact = all(p.exact for p in points)
+    pairs = tuple(zip(points, weights if exact else map(float, weights)))
+
+    def functional(a: StarPoly) -> Value:
+        total: Value = ComplexRational(0) if exact else 0j
+        for char, w in pairs:
+            v = gelfand_eval(a, char)
+            total = total + (v if exact else complex(v)) * w
+        return total
+
+    return State(kind, pres, exact, False, box, source, functional)
 
 
 def atomic_state(pres: StarPresentation,
@@ -109,14 +117,15 @@ def atomic_state(pres: StarPresentation,
             raise StateError(f"atomic weights sum to {total}, not 1 "
                              f"(pass rescale=True to normalize)")
         resolved = [(c, w / total) for c, w in resolved]
-    exact = all(c.exact for c, _ in resolved)
-    box = _bounding_box(pres, [c for c, _ in resolved])
-    return State("atomic", pres, exact, False, box, atoms=tuple(resolved))
-
-
-def _uniform_density(box: CompactBox) -> Callable[[tuple[float, ...]], float]:
-    inv_vol = 1.0 / float(box.volume())
-    return lambda _point: inv_vol
+    parts = []
+    for char, w in resolved:
+        assigns = " ; ".join(f"{g} = {format_value(v)}"
+                             for g, v in zip(pres.generators, char.values))
+        parts.append(f"({assigns}) : {w}")
+    source = "state atomic { " + " ; ".join(parts) + " }"
+    chars, weights = zip(*resolved)
+    return _point_state("atomic", pres, _bounding_box(pres, chars), source,
+                        chars, weights)
 
 
 def quadrature_state(pres: StarPresentation, box: CompactBox,
@@ -135,15 +144,14 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         raise StateError("quadrature box lives over the wrong presentation")
     if order < 1:
         raise StateError("quadrature order must be at least 1")
-    name: str | None = None
     if isinstance(density, str):
-        name = density
         if density != "uniform":
             raise StateError(f"unknown density {density!r}; the catalog has "
                              f"'uniform', or pass a callable")
-        density_fn = _uniform_density(box)
+        inv_vol = 1.0 / float(box.volume())
+        name, density_fn = density, lambda _point: inv_vol
     else:
-        density_fn = density
+        name, density_fn = getattr(density, "__name__", "callable"), density
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     per_axis: list[list[tuple[float, float]]] = []
     for lo, hi in box.intervals:
@@ -166,9 +174,9 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
             raise StateError(f"quadrature weights sum to {total!r}, not 1; "
                              f"normalize the density or pass rescale=True")
         weights = [w / total for w in weights]
-    return State("quadrature", pres, False, False, box,
-                 nodes=tuple(nodes), weights=tuple(weights),
-                 density_name=name, order=order)
+    spans = " x ".join(f"[{lo}, {hi}]" for lo, hi in box.intervals)
+    source = f'state density "{name}" on {spans} order {order}'
+    return _point_state("quadrature", pres, box, source, nodes, weights)
 
 
 def gaussian_state(pres: StarPresentation, generator: str | None = None) -> State:
@@ -206,37 +214,21 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
             moments.append((j - 1) * moments[j - 2])
         return ComplexRational(moments[k])
 
+    def functional(a: StarPoly) -> Value:
+        total = ComplexRational(0)
+        for mono, coeff in a.terms:
+            total = total + coeff * moment(mono)
+        return total
+
     return State("analytic", pres, True, True, None,
-                 density_name="gaussian", generator=pres.generators[idx],
-                 moment_fn=moment)
+                 f"state gaussian({pres.generators[idx]})", functional)
 
 
 def expect(state: State, a: StarPoly) -> Value:
     """The expectation E(a); exact for atomic-rational and analytic states."""
     if a.pres != state.pres:
         raise StateError("element lives over the wrong presentation")
-    if state.kind == "atomic":
-        assert state.atoms is not None
-        if state.exact:
-            total: Value = ComplexRational(0)
-            for char, w in state.atoms:
-                total = total + gelfand_eval(a, char) * w
-            return total
-        acc = 0j
-        for char, w in state.atoms:
-            acc += complex(gelfand_eval(a, char)) * float(w)
-        return acc
-    if state.kind == "quadrature":
-        assert state.nodes is not None and state.weights is not None
-        acc = 0j
-        for char, w in zip(state.nodes, state.weights):
-            acc += w * complex(gelfand_eval(a, char))
-        return acc
-    assert state.moment_fn is not None
-    total = ComplexRational(0)
-    for mono, coeff in a.terms:
-        total = total + coeff * state.moment_fn(mono)
-    return total
+    return state.functional(a)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +244,9 @@ class GnsModel:
     ascending graded-lex order).  Exact models keep the Gram matrix and null
     vectors in rational arithmetic; orthonormal coefficients are floats in
     either case because normalization divides by square roots.
+
+    ``moments`` maps a raw (unnormalized) product monomial to the state's
+    value on it; it belongs to this model, and the operators extend it.
     """
 
     state: State
@@ -261,6 +256,7 @@ class GnsModel:
     exact: bool
     null_space: tuple[tuple, ...] | None = None
     orthonormal: tuple[tuple[complex, ...], ...] | None = None
+    moments: dict[Monomial, Value] = field(default_factory=dict, repr=False)
 
     @property
     def pres(self) -> StarPresentation:
@@ -268,11 +264,6 @@ class GnsModel:
 
     def basis_poly(self, index: int) -> StarPoly:
         return self.pres.poly({self.basis[index]: ONE})
-
-    def gram_entry(self, i: int, j: int) -> Value:
-        if self.exact:
-            return self.gram[i][j]
-        return complex(self.gram[i, j])
 
     def rank(self) -> int:
         if self.orthonormal is None:
@@ -292,29 +283,35 @@ class GnsModel:
         return out
 
 
+def _moment(moments: dict[Monomial, Value], state: State, mono: Monomial) -> Value:
+    """E(mono), read from the moment table or evaluated once and stored."""
+    value = moments.get(mono)
+    if value is None:
+        value = moments[mono] = state.functional(state.pres.poly({mono: ONE}))
+    return value
+
+
 def gram_matrix(state: State, degree: int) -> GnsModel:
-    """Gram matrix of E(adj(a) b) on irreducible monomials up to ``degree``."""
+    """Gram matrix of E(adj(a) b) on irreducible monomials up to ``degree``.
+
+    Entry (i, j) is the moment of the raw monomial adj(m_i) * m_j.
+    """
     if degree < 0:
         raise GnsError("degree must be nonnegative")
     pres = state.pres
     basis = tuple(pres.monomials_up_to(degree))
-    adjoint = list(pres.adjoint)
     n = len(basis)
-    entries: list[list[Value]] = []
-    for mi in basis:
-        inv = raw_involute(adjoint, {mi: ONE})
-        row: list[Value] = []
-        for mj in basis:
-            product = pres.poly(raw_mul(inv, {mj: ONE}))
-            row.append(expect(state, product))
-        entries.append(row)
+    moments: dict[Monomial, Value] = {}
+    invs = [mono_involute(pres.adjoint, mi) for mi in basis]
+    entries = [[_moment(moments, state, mono_mul(inv, mj)) for mj in basis]
+               for inv in invs]
     if state.exact:
         gram = tuple(tuple(row) for row in entries)
         for i in range(n):
             for j in range(n):
                 if gram[i][j] != gram[j][i].conjugate():
                     raise GnsError("Gram matrix is not Hermitian")
-        return GnsModel(state, degree, basis, gram, True)
+        return GnsModel(state, degree, basis, gram, True, moments=moments)
     arr = np.array([[complex(v) for v in row] for row in entries], dtype=complex)
     scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
@@ -325,7 +322,7 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
         if eigs[0] < -PSD_TOLERANCE * max(1.0, float(eigs[-1])):
             raise GnsError(f"Gram matrix is not positive semidefinite: "
                            f"eigenvalue {eigs[0]!r}")
-    return GnsModel(state, degree, basis, arr, False)
+    return GnsModel(state, degree, basis, arr, False, moments=moments)
 
 
 def _gns_exact(model: GnsModel) -> GnsModel:
@@ -416,17 +413,15 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     """
     completed = gns_basis(model)
     pres = completed.pres
-    gen_poly = pres.gen(generator)
+    idx = generator if isinstance(generator, int) else pres.generator_index(generator)
+    gen = tuple(int(i == idx) for i in range(len(pres.generators)))
     basis = completed.basis
     n = len(basis)
-    adjoint = list(pres.adjoint)
+    lefts = [mono_mul(mono_involute(pres.adjoint, ml), gen) for ml in basis]
     pairing = np.zeros((n, n), dtype=complex)
-    g_table = gen_poly.as_table()
     for k, mk in enumerate(basis):
-        g_mk = raw_mul(g_table, {mk: ONE})
-        for l, ml in enumerate(basis):
-            inv = raw_involute(adjoint, {ml: ONE})
-            product = pres.poly(raw_mul(inv, g_mk))
-            pairing[l, k] = complex(expect(completed.state, product))
+        for l, left in enumerate(lefts):
+            pairing[l, k] = complex(_moment(completed.moments, completed.state,
+                                            mono_mul(left, mk)))
     b = np.array(completed.orthonormal, dtype=complex).T  # columns are basis vectors
     return b.conj().T @ pairing @ b

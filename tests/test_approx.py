@@ -210,6 +210,11 @@ def test_bernstein_rejects_bad_requests():
             gl.bernstein_approx(f, 2, error_resolution=resolution)
         with pytest.raises(AlgebraError, match="resolution"):
             gl.density_witness(f, 0.1, error_resolution=resolution)
+        # the degree search starts at 4: these run no approximation at all
+        for max_degree in (0, 3):
+            with pytest.raises(AlgebraError, match="resolution"):
+                gl.density_witness(f, 0.1, max_degree=max_degree,
+                                   error_resolution=resolution)
 
 
 def reference_bernstein(f, n, intervals, resolution):

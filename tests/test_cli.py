@@ -10,12 +10,15 @@ from gelfand_lab.cli import main
 LINE = "algebra Line ;\ngenerator x : selfadjoint ;\n"
 DISK = "algebra Disk ;\ngenerator z : free ;\n"
 NIL = "algebra Nil ;\ngenerator x : selfadjoint ;\nrelation x^2 ;\n"
+PLANE = "algebra Plane ;\ngenerator x, y : selfadjoint ;\n"
+BIG = "1" + "0" * 400
 
 
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
-    for name, text in (("line", LINE), ("disk", DISK), ("nil", NIL)):
+    for name, text in (("line", LINE), ("disk", DISK), ("nil", NIL),
+                       ("plane", PLANE)):
         f = tmp_path / f"{name}.star"
         f.write_text(text, encoding="utf-8")
         paths[name] = str(f)
@@ -160,14 +163,28 @@ def test_approx_epsilon_search(capsys):
     ["approx", "--target", "abs-shift", "--epsilon", "0.1", "--resolution", "1"],
     ["eval", "line", "--char", "x=1e400", "--poly", "x"],
     ["eval", "disk", "--char", "z=(1+1e400i)", "--poly", "z"],
+    ["eval", "plane", "--char", f"x={BIG} ; y=0.5", "--poly", "x"],
+    ["state-check", "plane", "--degree", "1",
+     "--state", f"state atomic {{ (x = {BIG} ; y = 0.5) : 1 }}"],
 ], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
-        "complex-overflow"])
+        "complex-overflow", "int-beside-float", "int-beside-float-support"])
 def test_bad_numbers_exit_one_without_traceback(files, argv):
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("opener", ["(", "adj("])
+def test_deep_nesting_exit_one_without_traceback(files, opener):
+    poly = opener * 1200 + "x" + ")" * 1200
+    proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", "eval",
+                           files["line"], "--char", "x=1", "--poly", poly],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "nests deeper than" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

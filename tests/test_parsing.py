@@ -1,10 +1,14 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
+from gelfand_lab.cli import canonical_box
 from gelfand_lab.errors import (CharacterError, ParseError, StateError)
 
 from helpers import circle, disk, line, nil, plain, rand_poly
@@ -94,6 +98,10 @@ def test_poly_rejects_floats_and_junk():
         gl.parse_poly("x ^ -2", p)
     with pytest.raises(ParseError, match="denominator"):
         gl.parse_poly("1/0", p)
+    for opener in ("(", "adj("):
+        with pytest.raises(ParseError, match="nests deeper than 100"):
+            gl.parse_poly(opener * 101 + "x" + ")" * 101, p)
+        assert gl.parse_poly(opener * 100 + "x" + ")" * 100, p) == p.gen("x")
 
 
 def test_round_trip_500_random():
@@ -143,6 +151,13 @@ def test_character_partner_autofill_and_mixed():
         "algebra M ; generator x, y : selfadjoint ;")
     c3 = gl.parse_character("x = 1 ; y = 0.5", m)
     assert not c3.exact
+    big = "1" + "0" * 400
+    with pytest.raises(ParseError, match=f"'{big}' is too large"):
+        gl.parse_character(f"x = {big} ; y = 0.5", m)
+    with pytest.raises(ParseError, match=f"'{big}' is too large"):
+        gl.parse_state(f"state atomic {{ (x = 1 ; y = 1/2) : 1/2 ; "
+                       f"(x = {big} ; y = 0.5) : 1/2 }}", m)
+    assert gl.parse_character(f"x = {big} ; y = 1/2", m).exact
 
 
 def test_character_validation_errors():
@@ -199,10 +214,12 @@ def test_state_parse_atomic():
 def test_state_parse_gaussian_and_density():
     s = gl.parse_state("gaussian", line())
     assert s.kind == "analytic" and s.densely_defined
+    assert s.source == "state gaussian(x)"
     s2 = gl.parse_state("state gaussian(x)", line())
-    assert s2.generator == "x"
+    assert s2.source == "state gaussian(x)"
     q = gl.parse_state('state density "uniform" on [0, 2] order 6', line())
-    assert q.kind == "quadrature" and q.order == 6
+    assert q.kind == "quadrature"
+    assert q.source == 'state density "uniform" on [0, 2] order 6'
     with pytest.raises(StateError, match="catalog"):
         gl.parse_state('state density "cauchy" on [0, 1] order 4', line())
     with pytest.raises(ParseError, match="state kind"):
@@ -235,3 +252,87 @@ def test_format_value_and_character():
     assert gl.format_value(complex(1.5, -2.5)) == "(1.5-2.5i)"
     c = gl.parse_character("x = 3", line())
     assert gl.format_character(c) == "char { x = 3 }"
+
+
+# ---------------------------------------------------------------------------
+# canonical echoes re-parse to the same object
+# ---------------------------------------------------------------------------
+
+ECHO_PRESENTATIONS = {"line": line, "disk": disk, "plain": plain}
+echo_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+echo_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
+
+
+@st.composite
+def echo_points(draw, pres, exact):
+    """One support point: exact rationals or floats, real where required."""
+    number = echo_fractions if exact else echo_floats
+    make = ComplexRational if exact else complex
+    point = {}
+    for i, g in enumerate(pres.generators):
+        a = pres.adjoint[i]
+        if a is not None and a < i:
+            continue  # the partner value is forced
+        im = draw(number) if a != i else 0
+        point[g] = make(draw(number), im)
+    return point
+
+
+@st.composite
+def echo_characters(draw):
+    pres = ECHO_PRESENTATIONS[draw(st.sampled_from(sorted(ECHO_PRESENTATIONS)))]()
+    point = draw(echo_points(pres, draw(st.booleans())))
+    return gl.validate_character(pres, point)
+
+
+@st.composite
+def echo_boxes(draw, star_only=False, proper=False):
+    names = ["line", "disk"] if star_only else sorted(ECHO_PRESENTATIONS)
+    pres = ECHO_PRESENTATIONS[draw(st.sampled_from(names))]()
+    intervals = []
+    for _ in gl.axis_layout(pres):
+        lo = draw(echo_fractions)
+        width = draw(st.fractions(min_value=Fraction(1, 12) if proper else 0,
+                                  max_value=4, max_denominator=12))
+        intervals.append((lo, lo + width))
+    return gl.CompactBox.from_intervals(pres, intervals)
+
+
+@st.composite
+def echo_states(draw):
+    kind = draw(st.sampled_from(["atomic", "density", "gaussian"]))
+    if kind == "gaussian":
+        return gl.gaussian_state(line())
+    if kind == "density":
+        box = draw(echo_boxes(star_only=True, proper=True))
+        return gl.quadrature_state(box.pres, box, "uniform", draw(st.integers(1, 4)))
+    pres = disk() if draw(st.booleans()) else line()
+    exact = draw(st.booleans())
+    points = draw(st.lists(echo_points(pres, exact), min_size=1, max_size=4))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+    return gl.atomic_state(pres, [(p, Fraction(w, sum(raw)))
+                                  for p, w in zip(points, raw)])
+
+
+@given(echo_characters())
+def test_format_character_round_trips(char):
+    again = gl.parse_character(gl.format_character(char), char.pres)
+    assert again == char
+
+
+@given(echo_boxes())
+def test_canonical_box_round_trips(box):
+    assert gl.parse_box(canonical_box(box), box.pres) == box
+
+
+@settings(max_examples=40)
+@given(echo_states())
+def test_state_source_round_trips(state):
+    again = gl.parse_state(state.source, state.pres)
+    assert again.source == state.source
+    assert (again.kind, again.exact) == (state.kind, state.exact)
+    gram, gram_again = gl.gram_matrix(state, 2).gram, gl.gram_matrix(again, 2).gram
+    if state.exact:
+        assert gram_again == gram
+    else:
+        assert np.array_equal(gram_again, gram)

@@ -7,7 +7,9 @@ import pytest
 
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
+from gelfand_lab.algebra import raw_involute, raw_mul
 from gelfand_lab.errors import GnsError, StateError
+from gelfand_lab.scalars import ONE
 
 from helpers import disk, line, nil, rand_poly, rand_scalar
 
@@ -243,8 +245,8 @@ def test_gns_hermite_matches_oracle():
 
 def test_gns_two_point_quotient():
     p = line()
-    st = gl.atomic_state(p, [({"x": ComplexRational(1)}, Fraction(1, 2)),
-                             ({"x": ComplexRational(-1)}, Fraction(1, 2))])
+    support = [gl.validate_character(p, {"x": ComplexRational(v)}) for v in (1, -1)]
+    st = gl.atomic_state(p, [(char, Fraction(1, 2)) for char in support])
     model = gl.gns_basis(gl.gram_matrix(st, 4))
     assert model.rank() == 2
     nulls = model.null_polys()
@@ -252,7 +254,7 @@ def test_gns_two_point_quotient():
     assert rendered == {"x^2 - 1", "x^3 - x", "x^4 - 1"}
     # null vectors vanish at every support point
     for q in nulls:
-        for char, _ in st.atoms:
+        for char in support:
             assert gl.gelfand_eval(q, char) == ComplexRational(0)
 
 
@@ -366,3 +368,124 @@ def test_multiplication_auto_completes_model():
     M = gl.multiplication_operator(fresh, "x")
     assert M.shape == (3, 3)
     assert abs(M[0, 1] - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# moment table against the per-entry reference
+# ---------------------------------------------------------------------------
+
+SPHERE = ("algebra Sphere ; generator x, y, t : selfadjoint ; "
+          "relation x^2 + y^2 + t^2 - 1 ;")
+CIRCLE = "algebra Circle ; generator z : free ; relation z*adj(z) - 1 ;"
+
+
+def reference_gram(state, degree):
+    """E(adj(m_i) * m_j), one normalized product per entry."""
+    pres = state.pres
+    basis = pres.monomials_up_to(degree)
+    rows = []
+    for mi in basis:
+        inv = raw_involute(list(pres.adjoint), {mi: ONE})
+        rows.append([gl.expect(state, pres.poly(raw_mul(inv, {mj: ONE})))
+                     for mj in basis])
+    if state.exact:
+        return tuple(tuple(row) for row in rows)
+    arr = np.array([[complex(v) for v in row] for row in rows], dtype=complex)
+    return (arr + arr.conj().T) / 2.0
+
+
+def reference_operator(model, generator):
+    """Compression of multiplication by ``generator``, entry by entry."""
+    pres = model.pres
+    g_table = pres.gen(generator).as_table()
+    n = len(model.basis)
+    pairing = np.zeros((n, n), dtype=complex)
+    for k, mk in enumerate(model.basis):
+        g_mk = raw_mul(g_table, {mk: ONE})
+        for l, ml in enumerate(model.basis):
+            inv = raw_involute(list(pres.adjoint), {ml: ONE})
+            product = pres.poly(raw_mul(inv, g_mk))
+            pairing[l, k] = complex(gl.expect(model.state, product))
+    b = np.array(model.orthonormal, dtype=complex).T
+    return b.conj().T @ pairing @ b
+
+
+def _atomic(pres_text, points, exact):
+    pres = gl.parse_presentation(pres_text)
+    weight = Fraction(1, len(points))
+    atoms = []
+    for point in points:
+        if not exact:
+            point = {g: complex(v) for g, v in point.items()}
+        atoms.append((point, weight))
+    return gl.atomic_state(pres, atoms)
+
+
+def _q(re, im=0):
+    return ComplexRational(Fraction(re), Fraction(im))
+
+
+MOMENT_CASES = {
+    "line": (lambda exact: _atomic("algebra L ; generator x : selfadjoint ;",
+                                   [{"x": _q(v)} for v in ("-1", "1/3", "2", "5/2")],
+                                   exact), 5),
+    "disk": (lambda exact: _atomic("algebra D ; generator z : free ;",
+                                   [{"z": _q("1/2", "-1/3")}, {"z": _q(-1, 2)},
+                                    {"z": _q(0, "3/4")}], exact), 3),
+    "circle": (lambda exact: _atomic(CIRCLE,
+                                     [{"z": _q("3/5", "4/5")}, {"z": _q(-1)},
+                                      {"z": _q("5/13", "-12/13")}], exact), 3),
+    "sphere": (lambda exact: _atomic(SPHERE,
+                                     [{"x": _q("3/5"), "y": _q("4/5"), "t": _q(0)},
+                                      {"x": _q("2/3"), "y": _q("-2/3"), "t": _q("1/3")},
+                                      {"x": _q(0), "y": _q(0), "t": _q(-1)}], exact), 2),
+}
+
+
+def _check_against_reference(state, degree):
+    model = gl.gns_basis(gl.gram_matrix(state, degree))
+    expected = reference_gram(state, degree)
+    if state.exact:
+        assert model.gram == expected
+    else:
+        assert np.array_equal(model.gram, expected)
+    for g in model.pres.generators:
+        assert np.array_equal(gl.multiplication_operator(model, g),
+                              reference_operator(model, g))
+    return model
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+def test_moment_table_matches_reference_atomic(case, exact):
+    build, degree = MOMENT_CASES[case]
+    state = build(exact)
+    assert state.exact is exact
+    _check_against_reference(state, degree)
+
+
+def test_moment_table_matches_reference_gaussian():
+    model = _check_against_reference(gl.gaussian_state(line()), 8)
+    # 81 Gram entries hold 17 distinct moments; the operator adds x^17
+    assert len(model.basis) ** 2 == 81
+    assert len(model.moments) == 18
+
+
+@pytest.mark.parametrize("box, order, degree", [
+    ("x = [-1, 2]", 7, 5),
+    ("z = [-1, 1] x [0, 1/2]", 4, 2),
+], ids=["line", "disk"])
+def test_moment_table_matches_reference_quadrature(box, order, degree):
+    pres = line() if box.startswith("x") else disk()
+    state = gl.quadrature_state(pres, gl.parse_box(box, pres), "uniform", order)
+    _check_against_reference(state, degree)
+
+
+def test_moment_tables_are_per_model():
+    st = gl.gaussian_state(line())
+    first, second = gl.gram_matrix(st, 2), gl.gram_matrix(st, 2)
+    assert first.moments is not second.moments
+    completed = gl.gns_basis(first)
+    assert completed.moments is first.moments
+    gl.multiplication_operator(completed, "x")
+    assert len(first.moments) == 6 and len(second.moments) == 5
