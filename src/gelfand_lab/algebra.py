@@ -105,13 +105,7 @@ def raw_mul(a: Mapping[Monomial, ComplexRational],
 def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) -> RawTable:
     """Conjugate coefficients and swap each exponent onto the partner slot."""
     out: RawTable = {}
-    for mono, coeff in a.items():
-        key = mono_involute(adjoint, mono)
-        c = out.get(key, ZERO) + coeff.conjugate()
-        if c.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c
+    raw_add_into(out, ((mono_involute(adjoint, m), c.conjugate()) for m, c in a.items()))
     return out
 
 
@@ -152,8 +146,10 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
                     record: bool = False) -> tuple[Terms, list[RewriteStep]]:
     """Reduce a raw table to normal form under the oriented rules.
 
-    Each step eliminates the graded-lex largest reducible monomial, so the
-    loop terminates; the budget only guards against pathologically large
+    The division algorithm: take the graded-lex largest monomial left; if
+    no rule lead divides it, it is final (a reduction only adds smaller
+    monomials), otherwise subtract the shifted relation of the first rule
+    that divides it.  The budget only guards against pathologically large
     intermediate expansions.  With ``record=True`` the returned steps express
     the difference between input and output as an explicit combination of
     shifted relations, which tests replay to certify soundness.
@@ -162,35 +158,27 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
     steps: list[RewriteStep] = []
     if not rules:
         return sort_terms(table), steps
+    normal: RawTable = {}
     count = 0
-    while True:
-        target: tuple[Monomial, RewriteRule] | None = None
-        for mono in sorted(table, key=grlex_key, reverse=True):
-            rule = next((r for r in rules if mono_divides(r.lead, mono)), None)
-            if rule is not None:
-                target = (mono, rule)
-                break
-        if target is None:
-            break
+    while table:
+        mono = max(table, key=grlex_key)
+        coeff = table.pop(mono)
+        rule = next((r for r in rules if mono_divides(r.lead, mono)), None)
+        if rule is None:
+            normal[mono] = coeff
+            continue
         count += 1
         if count > budget:
             raise RewriteBudgetError(
                 f"normalization exceeded {budget} rewrite steps "
-                f"(last rule index {target[1].index})")
-        mono, rule = target
-        coeff = table.pop(mono)
+                f"(last rule index {rule.index})")
         shift = mono_quotient(mono, rule.lead)
         factor = coeff / rule.coeff
-        for tm, tc in rule.tail:
-            key = mono_mul(tm, shift)
-            c = table.get(key, ZERO) - tc * factor
-            if c.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = c
+        raw_add_into(table, ((mono_mul(tm, shift), tc) for tm, tc in rule.tail),
+                     scale=-factor)
         if record:
             steps.append(RewriteStep(rule.index, shift, factor))
-    return sort_terms(table), steps
+    return sort_terms(normal), steps
 
 
 def verify_rewrite_trace(pres: "StarPresentation",
@@ -352,11 +340,18 @@ class StarPresentation:
     def is_star(self) -> bool:
         return self.mode == MODE_STAR
 
-    def generator_index(self, name: str) -> int:
+    def generator_index(self, which: Union[int, str]) -> int:
+        """The slot of a generator given by name or by index."""
+        if isinstance(which, int):
+            if not 0 <= which < len(self.generators):
+                raise AlgebraError(
+                    f"generator index {which} out of range for "
+                    f"{len(self.generators)} generators")
+            return which
         try:
-            return self.generators.index(name)
+            return self.generators.index(which)
         except ValueError:
-            raise AlgebraError(f"unknown generator {name!r}") from None
+            raise AlgebraError(f"unknown generator {which!r}") from None
 
     def partner(self, index: int) -> int:
         a = self.adjoint[index]
@@ -394,7 +389,7 @@ class StarPresentation:
         return self.scalar(1)
 
     def gen(self, which: Union[int, str]) -> "StarPoly":
-        idx = which if isinstance(which, int) else self.generator_index(which)
+        idx = self.generator_index(which)
         mono = tuple(1 if i == idx else 0 for i in range(len(self.generators)))
         return self.poly({mono: ONE})
 
@@ -497,7 +492,8 @@ class StarPoly:
         self._require_same(other)
         acc = self.as_table()
         raw_add_into(acc, other.terms)
-        return self.pres.poly(acc)
+        # every monomial of a sum of normal forms is irreducible already
+        return StarPoly(self.pres, sort_terms(acc))
 
     __radd__ = __add__
 
@@ -532,8 +528,9 @@ class StarPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def involute(self) -> "StarPoly":
@@ -615,8 +612,7 @@ class Morphism:
         return morphism
 
     def image(self, which: Union[int, str]) -> StarPoly:
-        idx = which if isinstance(which, int) else self.source.generator_index(which)
-        return self.images[idx]
+        return self.images[self.source.generator_index(which)]
 
     def _apply_table(self, table: Mapping[Monomial, ComplexRational]) -> StarPoly:
         total = self.target.zero()

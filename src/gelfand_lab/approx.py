@@ -388,7 +388,7 @@ def _resolve_pair(pres: StarPresentation, pair: Union[int, str, None]) -> tuple[
                                "name the generator explicitly")
         idx = reps[0]
     else:
-        idx = pair if isinstance(pair, int) else pres.generator_index(pair)
+        idx = pres.generator_index(pair)
     partner = pres.adjoint[idx]
     if partner is None or partner == idx:
         raise AlgebraError("Wirtinger derivative needs a free generator with a "

@@ -30,20 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 from . import algebra, spectrum, states
-from .algebra import (
-    MODE_ALGEBRA,
-    MODE_STAR,
-    Monomial,
-    RawTable,
-    StarPoly,
-    StarPresentation,
-    raw_mul,
-)
+from .algebra import MODE_ALGEBRA, MODE_STAR, Monomial, RawTable, StarPoly, StarPresentation
 from .errors import ParseError
-from .scalars import ONE, ComplexRational
+from .scalars import ComplexRational
 
 Value = Union[ComplexRational, complex]
 
@@ -139,36 +131,6 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", line, start_col)
     tokens.append(Token("eof", "", line, col))
     return tokens
-
-
-# ── generator scopes ─────────────────────────────────────────────────────
-
-class _GenScope:
-    """Name resolution context for polynomial parsing.
-
-    Relations are parsed before the presentation object exists, so the scope
-    carries just the pieces the expression grammar needs: the generator
-    names, the adjoint pairing, and whether an involution is available.
-    """
-
-    def __init__(self, names: Sequence[str], adjoint: Sequence[int | None],
-                 star: bool) -> None:
-        self.names = list(names)
-        self.index = {g: i for i, g in enumerate(names)}
-        self.adjoint = list(adjoint)
-        self.star = star
-        self.width = len(self.names)
-
-    @classmethod
-    def of(cls, pres: StarPresentation) -> "_GenScope":
-        return cls(pres.generators, pres.adjoint, pres.is_star)
-
-    def unit(self) -> Monomial:
-        return (0,) * self.width
-
-    def gen_table(self, idx: int) -> RawTable:
-        mono = tuple(1 if i == idx else 0 for i in range(self.width))
-        return {mono: ONE}
 
 
 # ── parser ───────────────────────────────────────────────────────────────
@@ -279,73 +241,56 @@ class Parser:
                 names.extend([gname, partner])
                 adjoint.extend([base + 1, base])
 
-        scope = _GenScope(names, adjoint, mode == MODE_STAR)
+        # relations are read as elements of the relation-free presentation
+        free = StarPresentation.assemble(name, mode, names, adjoint, [])
         tables: list[RawTable] = []
         for start, end in relation_spans:
             sub = Parser(self.tokens[start:end] + [self.tokens[-1]])
-            table = sub.poly(scope, allow_float=False)
+            relation = sub.poly(free)
             sub.expect_done()
-            tables.append(table)
+            tables.append(relation.as_table())
 
         return StarPresentation.assemble(name, mode, names, adjoint, tables)
 
     # ── polynomial expressions ───────────────────────────────────────
 
-    def poly(self, scope: _GenScope, allow_float: bool = False) -> RawTable:
-        negate = False
-        if self.accept("punct", "-"):
-            negate = True
-        else:
+    def poly(self, pres: StarPresentation) -> StarPoly:
+        negate = bool(self.accept("punct", "-"))
+        if not negate:
             self.accept("punct", "+")
-        table = self.term(scope)
+        value = self.term(pres)
         if negate:
-            table = {m: -c for m, c in table.items()}
+            value = -value
         while self.at("punct", "+") or self.at("punct", "-"):
             op = self.advance().text
-            rhs = self.term(scope)
-            for mono, coeff in rhs.items():
-                delta = coeff if op == "+" else -coeff
-                c = table.get(mono, ComplexRational(0)) + delta
-                if c.is_zero():
-                    table.pop(mono, None)
-                else:
-                    table[mono] = c
-        return table
+            rhs = self.term(pres)
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self, scope: _GenScope) -> RawTable:
-        table = self.factor(scope)
+    def term(self, pres: StarPresentation) -> StarPoly:
+        value = self.factor(pres)
         while self.accept("punct", "*"):
-            table = raw_mul(table, self.factor(scope))
-        return table
+            value = value * self.factor(pres)
+        return value
 
-    def factor(self, scope: _GenScope) -> RawTable:
-        base = self.atom(scope)
+    def factor(self, pres: StarPresentation) -> StarPoly:
+        base = self.atom(pres)
         if self.accept("punct", "^"):
-            tok = self.expect("nat")
-            exponent = int(tok.text)
-            result: RawTable = {scope.unit(): ONE}
-            while exponent:
-                if exponent & 1:
-                    result = raw_mul(result, base)
-                base = raw_mul(base, base)
-                exponent >>= 1
-            return result
+            return base ** int(self.expect("nat").text)
         return base
 
-    def atom(self, scope: _GenScope) -> RawTable:
+    def atom(self, pres: StarPresentation) -> StarPoly:
         tok = self.peek()
         if tok.kind == "ident":
             if tok.text == "adj" and self.peek(1).kind == "punct" \
                     and self.peek(1).text == "(":
-                return self._adj_atom(scope)
+                return self._adj_atom(pres)
             self.advance()
-            idx = scope.index.get(tok.text)
-            if idx is None:
+            if tok.text not in pres.generators:
                 self.error(f"unknown generator {tok.text!r}", tok)
-            return scope.gen_table(idx)
+            return pres.gen(tok.text)
         if tok.kind == "nat":
-            value = self._rational(signed=False)
-            return {scope.unit(): ComplexRational(value)}
+            return pres.scalar(self._rational(signed=False))
         if tok.kind == "float":
             self.error("floating point literals are not allowed in "
                        "polynomial input", tok)
@@ -356,23 +301,23 @@ class Parser:
                 if not exact:
                     self.error("floating point literals are not allowed in "
                                "polynomial input", tok)
-                return {scope.unit(): value} if not value.is_zero() else {}
+                return pres.scalar(value)
             self.advance()
-            table = self.nested_poly(scope, tok)
+            value = self.nested_poly(pres, tok)
             self.expect("punct", ")")
-            return table
+            return value
         self.error(f"unexpected token {tok.text!r} in polynomial", tok)
         raise AssertionError  # unreachable
 
-    def nested_poly(self, scope: _GenScope, opener: Token) -> RawTable:
+    def nested_poly(self, pres: StarPresentation, opener: Token) -> StarPoly:
         if self.depth >= MAX_NESTING:
             self.error(f"expression nests deeper than {MAX_NESTING} levels", opener)
         self.depth += 1
-        table = self.poly(scope)
+        value = self.poly(pres)
         self.depth -= 1
-        return table
+        return value
 
-    def _adj_atom(self, scope: _GenScope) -> RawTable:
+    def _adj_atom(self, pres: StarPresentation) -> StarPoly:
         # A literal generator called adj(...)? Auto-named adjoint partners
         # (and doubly wrapped names from iterated functor application) must
         # resolve to themselves so the formatter round-trips.
@@ -393,19 +338,18 @@ class Parser:
             )
             if closing:
                 literal = "adj(" * depth + base + ")" * depth
-                idx = scope.index.get(literal)
-                if idx is not None:
+                if literal in pres.generators:
                     self.pos = probe + 1 + depth
-                    return scope.gen_table(idx)
+                    return pres.gen(literal)
         self.pos = save
         adj_tok = self.advance()  # 'adj'
         self.expect("punct", "(")
-        inner = self.nested_poly(scope, adj_tok)
+        inner = self.nested_poly(pres, adj_tok)
         self.expect("punct", ")")
-        if not scope.star:
+        if not pres.is_star:
             self.error("adj(...) needs an involution; this is a plain "
                        "algebra presentation", adj_tok)
-        return algebra.raw_involute(scope.adjoint, inner)
+        return inner.involute()
 
     # ── numeric literals ─────────────────────────────────────────────
 
@@ -625,7 +569,6 @@ class Parser:
 
     def morphism(self, source: StarPresentation,
                  target: StarPresentation) -> algebra.Morphism:
-        scope = _GenScope.of(target)
         images: dict[str, StarPoly] = {}
         while not self.at("eof"):
             tok = self.expect("ident")
@@ -640,8 +583,7 @@ class Parser:
             if name in images:
                 self.error(f"image of {name!r} given twice", tok)
             self.expect("arrow")
-            table = self.poly(scope)
-            images[name] = target.poly(table)
+            images[name] = self.poly(target)
             if not self.accept("punct", ";"):
                 break
         star = source.is_star and target.is_star
@@ -667,9 +609,9 @@ def parse_presentation(text: str, mode: str = MODE_STAR) -> StarPresentation:
 
 def parse_poly(text: str, pres: StarPresentation) -> StarPoly:
     parser = Parser(tokenize(text))
-    table = parser.poly(_GenScope.of(pres), allow_float=False)
+    value = parser.poly(pres)
     parser.expect_done()
-    return pres.poly(table)
+    return value
 
 
 def parse_character(text: str, pres: StarPresentation,

@@ -56,8 +56,7 @@ class Character:
     exact: bool
 
     def value(self, which: Union[int, str]) -> Value:
-        idx = which if isinstance(which, int) else self.pres.generator_index(which)
-        return self.values[idx]
+        return self.values[self.pres.generator_index(which)]
 
     def as_assignment(self) -> dict[str, Value]:
         return dict(zip(self.pres.generators, self.values))
@@ -74,12 +73,16 @@ def _eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
             total = total + acc
         return total
     total_f = 0j
-    for mono, coeff in terms:
-        acc_f = complex(coeff)
-        for i, e in enumerate(mono):
-            if e:
-                acc_f *= values[i] ** e
-        total_f += acc_f
+    try:
+        for mono, coeff in terms:
+            acc_f = complex(coeff)
+            for i, e in enumerate(mono):
+                if e:
+                    acc_f *= values[i] ** e
+            total_f += acc_f
+    except OverflowError:
+        raise AlgebraError("floating point overflow: the value is too large "
+                           "for a float") from None
     return total_f
 
 
@@ -549,6 +552,8 @@ def radical_vanishing_check(a: StarPoly, sampler: Union[BoxSampler, GridSampler]
     with membership but proves nothing.  A nilpotency certificate, when the
     bounded search finds one, is exact.
     """
+    if count < 1:
+        raise AlgebraError(f"sample count must be at least 1, got {count}")
     chars = sampler.sample(count)
     max_abs = 0.0
     witness: Character | None = None

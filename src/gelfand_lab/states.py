@@ -148,7 +148,11 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         if density != "uniform":
             raise StateError(f"unknown density {density!r}; the catalog has "
                              f"'uniform', or pass a callable")
-        inv_vol = 1.0 / float(box.volume())
+        volume = box.volume()
+        if volume == 0:
+            raise StateError("the uniform density needs a box of positive "
+                             "volume")
+        inv_vol = 1.0 / float(volume)
         name, density_fn = density, lambda _point: inv_vol
     else:
         name, density_fn = getattr(density, "__name__", "callable"), density
@@ -413,7 +417,7 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     """
     completed = gns_basis(model)
     pres = completed.pres
-    idx = generator if isinstance(generator, int) else pres.generator_index(generator)
+    idx = pres.generator_index(generator)
     gen = tuple(int(i == idx) for i in range(len(pres.generators)))
     basis = completed.basis
     n = len(basis)

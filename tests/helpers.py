@@ -13,6 +13,8 @@ LINE = "algebra Line ; generator x : selfadjoint ;"
 DISK = "algebra Disk ; generator z : free ;"
 NIL = "algebra Nil ; generator x : selfadjoint ; relation x^2 ;"
 CIRCLE = "algebra Circle ; generator z : free ; relation z*adj(z) - 1 ;"
+SPHERE = ("algebra Sphere ; generator x, y, z : selfadjoint ; "
+          "relation x^2 + y^2 + z^2 - 1 ;")
 
 
 def line() -> StarPresentation:
@@ -29,6 +31,10 @@ def nil() -> StarPresentation:
 
 def circle() -> StarPresentation:
     return parse_presentation(CIRCLE)
+
+
+def sphere() -> StarPresentation:
+    return parse_presentation(SPHERE)
 
 
 def plain(text: str = "algebra P ; generator x : free ;") -> StarPresentation:

@@ -2,17 +2,21 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import (ComplexRational, Morphism, StarPresentation,
                          verify_rewrite_trace)
-from gelfand_lab.algebra import (DEFAULT_REWRITE_BUDGET, normalize_table,
-                                 raw_involute, raw_mul)
+from gelfand_lab.algebra import (DEFAULT_REWRITE_BUDGET, RewriteStep,
+                                 grlex_key, mono_divides, mono_mul,
+                                 mono_quotient, normalize_table, raw_involute,
+                                 raw_mul, sort_terms)
 from gelfand_lab.errors import (AlgebraError, MorphismError,
                                 PresentationError, RewriteBudgetError)
 
 from helpers import (circle, disk, line, nil, plain, rand_morphism, rand_poly,
-                     rand_scalar)
+                     rand_scalar, sphere)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +125,63 @@ def test_rewrite_trace_replays():
             assert verify_rewrite_trace(pres, raw, normal, steps)
 
 
+def sort_and_scan_normalize(rules, raw):
+    """Reference reduction: re-sort the table each step and reduce the
+    largest reducible monomial by the first rule whose lead divides it."""
+    table = {m: c for m, c in raw.items() if not c.is_zero()}
+    steps = []
+    while True:
+        target = None
+        for mono in sorted(table, key=grlex_key, reverse=True):
+            rule = next((r for r in rules if mono_divides(r.lead, mono)), None)
+            if rule is not None:
+                target = (mono, rule)
+                break
+        if target is None:
+            return sort_terms(table), steps
+        mono, rule = target
+        coeff = table.pop(mono)
+        shift = mono_quotient(mono, rule.lead)
+        factor = coeff / rule.coeff
+        for tm, tc in rule.tail:
+            key = mono_mul(tm, shift)
+            c = table.get(key, ComplexRational(0)) - tc * factor
+            if c.is_zero():
+                table.pop(key, None)
+            else:
+                table[key] = c
+        steps.append(RewriteStep(rule.index, shift, factor))
+
+
+REFERENCE_PRESENTATIONS = {
+    "circle": circle,
+    "sphere": sphere,
+    "cubic-quartic": lambda: gl.parse_presentation(
+        "algebra N ; generator x, y : selfadjoint ; relation x^3 ; relation y^4 ;"),
+    "three-points": lambda: gl.parse_presentation(
+        "algebra P ; generator x, y : selfadjoint ; relation x^2 - y ; "
+        "relation x*y - x ; relation y^2 - y ;"),
+}
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def raw_tables(draw):
+    pres = REFERENCE_PRESENTATIONS[draw(st.sampled_from(sorted(REFERENCE_PRESENTATIONS)))]()
+    width = len(pres.generators)
+    monos = st.tuples(*[st.integers(0, 5)] * width)
+    coeffs = st.builds(ComplexRational, small_fractions, small_fractions)
+    return pres, draw(st.dictionaries(monos, coeffs, max_size=6))
+
+
+@given(raw_tables())
+def test_division_loop_matches_sort_and_scan_reference(case):
+    pres, raw = case
+    normal, steps = normalize_table(pres.rules(), raw, record=True)
+    assert (normal, steps) == sort_and_scan_normalize(pres.rules(), raw)
+    assert verify_rewrite_trace(pres, raw, normal, steps)
+
+
 # ---------------------------------------------------------------------------
 # ring and involution laws
 # ---------------------------------------------------------------------------
@@ -163,6 +224,24 @@ def test_involute_rejected_in_algebra_mode():
     p = plain()
     with pytest.raises(AlgebraError):
         p.gen("x").involute()
+
+
+def test_generator_index_by_name_or_checked_int():
+    pres = line()
+    assert pres.generator_index("x") == pres.generator_index(0) == 0
+    assert pres.gen(0) == pres.gen("x")
+    for bad in (3, -1, 1, "y"):
+        with pytest.raises(AlgebraError):
+            pres.gen(bad)
+    f = gl.identity_morphism(pres)
+    assert f.image(0) == f.image("x") == pres.gen("x")
+    char = gl.validate_character(pres, {"x": ComplexRational(2)})
+    assert char.value(0) == char.value("x") == ComplexRational(2)
+    for bad in (3, -1):
+        with pytest.raises(AlgebraError):
+            f.image(bad)
+        with pytest.raises(AlgebraError):
+            char.value(bad)
 
 
 def test_poly_basics():

@@ -166,8 +166,15 @@ def test_approx_epsilon_search(capsys):
     ["eval", "plane", "--char", f"x={BIG} ; y=0.5", "--poly", "x"],
     ["state-check", "plane", "--degree", "1",
      "--state", f"state atomic {{ (x = {BIG} ; y = 0.5) : 1 }}"],
+    ["state-check", "line", "--degree", "1",
+     "--state", 'state density "uniform" on [0, 0] order 2'],
+    ["eval", "line", "--poly", "x^2000", "--char", "x = 2.5"],
+    ["nilpotent", "line", "--poly", "x", "--box", "x = [0, 1]", "--samples", "0"],
+    ["nilpotent", "line", "--poly", "x", "--box", "x = [0, 1]", "--samples", "-3"],
 ], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
-        "complex-overflow", "int-beside-float", "int-beside-float-support"])
+        "complex-overflow", "int-beside-float", "int-beside-float-support",
+        "uniform-zero-volume", "float-power-overflow", "samples-zero",
+        "samples-negative"])
 def test_bad_numbers_exit_one_without_traceback(files, argv):
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],

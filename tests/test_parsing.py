@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
-from gelfand_lab.cli import canonical_box
+from gelfand_lab.algebra import (normalize_table, raw_add_into, raw_involute,
+                                 raw_mul, sort_terms)
+from gelfand_lab.cli import (canonical_box, canonical_morphism,
+                             canonical_presentation)
 from gelfand_lab.errors import (CharacterError, ParseError, StateError)
+from gelfand_lab.scalars import ONE
 
-from helpers import circle, disk, line, nil, plain, rand_poly
+from helpers import (CIRCLE, DISK, LINE, NIL, SPHERE, circle, disk, line, nil,
+                     plain, rand_morphism, rand_poly, sphere)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +128,140 @@ def test_format_edge_cases():
     assert gl.format_poly(-p.gen("x")) == "-x"
     assert gl.format_poly(p.gen("x") * ComplexRational(0, 2)) == "(0+2i)*x"
     assert gl.format_poly(p.one() - p.gen("x")) == "-x + 1"
+
+
+# ---------------------------------------------------------------------------
+# expression trees against a raw-table reference
+# ---------------------------------------------------------------------------
+# A tree is ("gen", name), ("lit", scalar), ("neg"|"adj", t), ("pow", t, k) or
+# ("add"|"sub"|"mul", t, u).  The reference expands it with raw table
+# arithmetic and normalizes once; the parser normalizes every intermediate.
+
+tree_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def tree_degree(t) -> int:
+    kind = t[0]
+    if kind == "gen":
+        return 1
+    if kind == "lit":
+        return 0
+    if kind == "pow":
+        return t[2] * tree_degree(t[1])
+    if kind == "mul":
+        return tree_degree(t[1]) + tree_degree(t[2])
+    return max(tree_degree(u) for u in t[1:])
+
+
+def expr_trees(pres, max_degree=8):
+    leaves = st.one_of(
+        st.sampled_from(pres.generators).map(lambda g: ("gen", g)),
+        st.builds(ComplexRational, tree_fractions, tree_fractions)
+        .map(lambda c: ("lit", c)),
+    )
+
+    def extend(children):
+        ops = [st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children),
+               st.tuples(st.just("pow"), children, st.integers(0, 4)),
+               st.tuples(st.just("neg"), children)]
+        if pres.is_star:
+            ops.append(st.tuples(st.just("adj"), children))
+        return st.one_of(ops)
+
+    return st.recursive(leaves, extend, max_leaves=6).filter(
+        lambda t: tree_degree(t) <= max_degree)
+
+
+def render(t) -> str:
+    kind = t[0]
+    if kind == "gen":
+        return t[1]
+    if kind == "lit":
+        c = t[1]
+        if not c.is_real():
+            return c.literal()
+        return str(c.re) if c.re >= 0 else f"({c.re})"
+    if kind == "neg":
+        return f"(-{render(t[1])})"
+    if kind == "adj":
+        return f"adj({render(t[1])})"
+    if kind == "pow":
+        return f"({render(t[1])})^{t[2]}"
+    if kind == "mul":
+        return f"{render(t[1])}*{render(t[2])}"
+    op = " + " if kind == "add" else " - "
+    return f"({render(t[1])}{op}{render(t[2])})"
+
+
+def reference_table(t, pres):
+    unit = (0,) * len(pres.generators)
+    kind = t[0]
+    if kind == "gen":
+        i = pres.generators.index(t[1])
+        return {tuple(int(j == i) for j in range(len(unit))): ONE}
+    if kind == "lit":
+        return {} if t[1].is_zero() else {unit: t[1]}
+    a = reference_table(t[1], pres)
+    if kind == "neg":
+        return {m: -c for m, c in a.items()}
+    if kind == "adj":
+        return raw_involute(pres.adjoint, a)
+    if kind == "pow":
+        out = {unit: ONE}
+        for _ in range(t[2]):
+            out = raw_mul(out, a)
+        return out
+    b = reference_table(t[2], pres)
+    if kind == "mul":
+        return raw_mul(a, b)
+    raw_add_into(a, b.items(), scale=ONE if kind == "add" else -ONE)
+    return a
+
+
+TREE_PRESENTATIONS = {"circle": circle, "sphere": sphere, "nil": nil, "disk": disk}
+
+
+@st.composite
+def parsed_cases(draw):
+    pres = TREE_PRESENTATIONS[draw(st.sampled_from(sorted(TREE_PRESENTATIONS)))]()
+    return pres, draw(expr_trees(pres))
+
+
+@given(parsed_cases())
+def test_parse_poly_matches_raw_reference(case):
+    pres, tree = case
+    text = render(tree)
+    expected, _ = normalize_table(pres.rules(), reference_table(tree, pres))
+    p = gl.parse_poly(text, pres)
+    assert p.terms == expected, text
+    assert gl.parse_poly(gl.format_poly(p), pres) == p
+
+
+RELATION_FREE = {
+    "disk": (DISK, "star-algebra"),
+    "plane": ("algebra Plane ; generator x, y : selfadjoint ;", "star-algebra"),
+    "plain": ("algebra P ; generator u, v : free ;", "algebra"),
+}
+
+
+@st.composite
+def relation_cases(draw):
+    text, mode = RELATION_FREE[draw(st.sampled_from(sorted(RELATION_FREE)))]
+    free = gl.parse_presentation(text, mode)
+    tree = draw(expr_trees(free, max_degree=4))
+    if free.is_star:
+        tree = ("add", tree, ("adj", tree))  # self-adjoint, so star-closed
+    return text, free, tree
+
+
+@given(relation_cases())
+def test_parse_relation_matches_raw_reference(case):
+    text, free, tree = case
+    pres = gl.parse_presentation(f"{text} relation {render(tree)} ;", free.mode)
+    expected = sort_terms(reference_table(tree, free))
+    assert pres.relations == ((expected,) if expected else ())
+    again = gl.parse_presentation(canonical_presentation(pres), pres.mode)
+    assert again == pres and again.generators == pres.generators
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +451,30 @@ def echo_states(draw):
     raw = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
     return gl.atomic_state(pres, [(p, Fraction(w, sum(raw)))
                                   for p, w in zip(points, raw)])
+
+
+@pytest.mark.parametrize("text,mode", [
+    (LINE, "star-algebra"), (CIRCLE, "star-algebra"), (NIL, "star-algebra"),
+    (SPHERE, "star-algebra"), ("algebra P ; generator u, v : free ; "
+                               "relation u^2*v - 1/2 ;", "algebra"),
+])
+def test_canonical_presentation_round_trips(text, mode):
+    pres = gl.parse_presentation(text, mode)
+    again = gl.parse_presentation(canonical_presentation(pres), mode)
+    assert again == pres and again.generators == pres.generators
+
+
+# rand_morphism gives *-morphisms only out of free pairs
+MORPHISM_PAIRS = [(disk, sphere), (disk, circle), (disk, nil), (line, plain),
+                  (plain, disk), (plain, plain)]
+
+
+@given(st.sampled_from(MORPHISM_PAIRS), st.integers(0, 10**6))
+def test_canonical_morphism_round_trips(pair, seed):
+    source, target = pair[0](), pair[1]()
+    f = rand_morphism(source, target, Random(seed))
+    g = gl.parse_morphism(canonical_morphism(f), source, target)
+    assert g.images == f.images and g.star == f.star
 
 
 @given(echo_characters())

@@ -8,7 +8,7 @@ import pytest
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
 from gelfand_lab.algebra import raw_involute, raw_mul
-from gelfand_lab.errors import GnsError, StateError
+from gelfand_lab.errors import AlgebraError, GnsError, StateError
 from gelfand_lab.scalars import ONE
 
 from helpers import disk, line, nil, rand_poly, rand_scalar
@@ -368,6 +368,15 @@ def test_multiplication_auto_completes_model():
     M = gl.multiplication_operator(fresh, "x")
     assert M.shape == (3, 3)
     assert abs(M[0, 1] - 1.0) < 1e-10
+
+
+def test_multiplication_generator_index_checked():
+    model = gl.gns_basis(gl.gram_matrix(gl.gaussian_state(line()), 2))
+    assert np.array_equal(gl.multiplication_operator(model, 0),
+                          gl.multiplication_operator(model, "x"))
+    for bad in (5, -1, "y"):
+        with pytest.raises(AlgebraError):
+            gl.multiplication_operator(model, bad)
 
 
 # ---------------------------------------------------------------------------
