@@ -239,7 +239,6 @@ class StarPresentation:
     def assemble(cls, name: str, mode: str, generators: Sequence[str],
                  adjoint: Sequence[int | None],
                  relation_tables: Sequence[Mapping[Monomial, ComplexRational]],
-                 cp_degree_bound: int | None = None,
                  budget: int = DEFAULT_REWRITE_BUDGET) -> "StarPresentation":
         generators = tuple(generators)
         adjoint = tuple(adjoint)
@@ -280,7 +279,7 @@ class StarPresentation:
 
         # confluence first: on a non-confluent system the closure check below
         # would blame the involution for what is really an unresolved overlap
-        pres._check_confluence(cp_degree_bound)
+        pres._check_confluence()
         if mode == MODE_STAR:
             for i, rel in enumerate(relations):
                 image = raw_involute(adjoint, dict(rel))
@@ -291,15 +290,12 @@ class StarPresentation:
                         f"add its adjoint as a relation")
         return pres
 
-    def _check_confluence(self, cp_degree_bound: int | None) -> None:
+    def _check_confluence(self) -> None:
         rules = self._rules
         if len(rules) < 2:
             return
-        if cp_degree_bound is None:
-            cp_degree_bound = 2 * max(
-                (max(mono_degree(m) for m, _ in rel) for rel in self.relations),
-                default=0,
-            )
+        cp_degree_bound = 2 * max(
+            max(mono_degree(m) for m, _ in rel) for rel in self.relations)
         for i in range(len(rules)):
             for j in range(i + 1, len(rules)):
                 ri, rj = rules[i], rules[j]

@@ -26,7 +26,7 @@ import numpy as np
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
 from .errors import AlgebraError, UnsupportedError
-from .scalars import ComplexRational
+from .scalars import ComplexRational, to_float
 from .spectrum import CompactBox, coefficient_bound
 
 
@@ -195,8 +195,8 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
         max_sq = _grid_max_abs2(subject, box, resolution)
         if max_sq > upper_exact * upper_exact:
             raise AssertionError("grid maximum exceeded its certified bound")
-        lower = math.sqrt(max_sq)
-        upper = float(upper_exact)
+        lower = math.sqrt(to_float(max_sq))
+        upper = to_float(upper_exact)
         if lower > upper:  # float rounding at an exactly attained bound
             lower = upper
         return SeminormEstimate(lower, upper, resolution, True,

@@ -110,9 +110,11 @@ def character_json(char: Character) -> dict:
 
 
 def matrix_json(m) -> list:
-    if isinstance(m, np.ndarray):
-        return [[value_json(complex(x)) for x in row] for row in m]
     return [[value_json(x) for x in row] for row in m]
+
+
+def presentation_echo(pres: StarPresentation) -> dict[str, str]:
+    return {"mode": pres.mode, "presentation": canonical_presentation(pres)}
 
 
 def base_report(command: str, echo: dict[str, str]) -> dict:
@@ -123,11 +125,12 @@ def base_report(command: str, echo: dict[str, str]) -> dict:
 
 
 def describe_lines(pres: StarPresentation) -> list[str]:
+    described = pres.describe()
     lines = [f"presentation {pres.name} ({pres.mode})"]
-    for entry in pres.describe()["generators"]:
+    for entry in described["generators"]:
         extra = f" (partner {entry['partner']})" if "partner" in entry else ""
         lines.append(f"  generator {entry['name']} : {entry['kind']}{extra}")
-    rels = pres.describe()["relations"]
+    rels = described["relations"]
     if rels:
         lines.extend(f"  relation {r}" for r in rels)
     else:
@@ -149,44 +152,31 @@ def _fmt_complex(z: complex) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load(args, mode_attr: str = "mode") -> StarPresentation:
-    mode = _MODES[getattr(args, mode_attr, "star")]
+def _load(args) -> StarPresentation:
+    mode = _MODES[getattr(args, "mode", "star")]
     return parse_presentation(read_input(args.presentation), mode=mode)
 
 
 def cmd_parse(args) -> tuple[dict, list[str], int]:
     pres = _load(args)
-    report = base_report("parse", {
-        "mode": pres.mode, "presentation": canonical_presentation(pres)})
+    report = base_report("parse", presentation_echo(pres))
     report["presentation"] = pres.describe()
     return report, describe_lines(pres), 0
 
 
-def cmd_free(args) -> tuple[dict, list[str], int]:
-    plain = parse_presentation(read_input(args.presentation),
-                               mode=MODE_ALGEBRA)
-    star = free_star(plain)
-    report = base_report("free", {
-        "mode": plain.mode, "presentation": canonical_presentation(plain)})
-    report["input"] = plain.describe()
-    report["result"] = star.describe()
-    return report, describe_lines(star), 0
-
-
-def cmd_underlying(args) -> tuple[dict, list[str], int]:
-    star = parse_presentation(read_input(args.presentation), mode=MODE_STAR)
-    plain = underlying(star)
-    report = base_report("underlying", {
-        "mode": star.mode, "presentation": canonical_presentation(star)})
-    report["input"] = star.describe()
-    report["result"] = plain.describe()
-    return report, describe_lines(plain), 0
+def cmd_functor(args) -> tuple[dict, list[str], int]:
+    """free and underlying: the input in the command's mode, then its functor."""
+    source = _load(args)
+    result = args.functor(source)
+    report = base_report(args.command, presentation_echo(source))
+    report["input"] = source.describe()
+    report["result"] = result.describe()
+    return report, describe_lines(result), 0
 
 
 def cmd_spectrum_check(args) -> tuple[dict, list[str], int]:
     pres = _load(args)
-    pres_echo = {"mode": pres.mode,
-                 "presentation": canonical_presentation(pres)}
+    pres_echo = presentation_echo(pres)
     try:
         char = parse_character(args.char, pres, tolerance=args.tolerance)
     except CharacterError as exc:
@@ -207,7 +197,7 @@ def cmd_eval(args) -> tuple[dict, list[str], int]:
     char = parse_character(args.char, pres, tolerance=args.tolerance)
     value = spectrum.gelfand_eval(poly, char)
     report = base_report("eval", {
-        "mode": pres.mode, "presentation": canonical_presentation(pres),
+        **presentation_echo(pres),
         "poly": format_poly(poly), "char": format_character(char)})
     report.update(value=value_json(value),
                   exact=isinstance(value, ComplexRational))
@@ -237,9 +227,7 @@ def cmd_nilpotent(args) -> tuple[dict, list[str], int]:
     pres = _load(args)
     poly = parse_poly(args.poly, pres)
     nil, exponent = spectrum.is_nilpotent(poly, bound=args.bound)
-    echo = {"mode": pres.mode,
-            "presentation": canonical_presentation(pres),
-            "poly": format_poly(poly)}
+    echo = {**presentation_echo(pres), "poly": format_poly(poly)}
     lines = [f"nilpotent: {str(nil).lower()}"
              + (f" (exponent {exponent})" if nil else f" (bound {args.bound})")]
     radical = None
@@ -275,7 +263,7 @@ def cmd_seminorm(args) -> tuple[dict, list[str], int]:
     box = parse_box(args.box, pres)
     est = approx.seminorm_on_box(poly, box, resolution=args.resolution)
     report = base_report("seminorm", {
-        "mode": pres.mode, "presentation": canonical_presentation(pres),
+        **presentation_echo(pres),
         "poly": format_poly(poly), "box": canonical_box(box)})
     report.update(lower=est.lower, upper=est.upper, exact=est.exact,
                   resolution=est.resolution)
@@ -319,12 +307,11 @@ def cmd_approx(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_wirtinger(args) -> tuple[dict, list[str], int]:
-    pres = parse_presentation(read_input(args.presentation), mode=MODE_STAR)
+    pres = _load(args)
     poly = parse_poly(args.poly, pres)
     derivative = approx.wirtinger_dzbar(poly, args.pair)
     holo = derivative.is_zero()
-    echo = {"mode": pres.mode, "presentation": canonical_presentation(pres),
-            "poly": format_poly(poly)}
+    echo = {**presentation_echo(pres), "poly": format_poly(poly)}
     if args.pair is not None:
         echo["pair"] = args.pair
     report = base_report("wirtinger", echo)
@@ -333,13 +320,19 @@ def cmd_wirtinger(args) -> tuple[dict, list[str], int]:
                     f"holomorphic: {str(holo).lower()}"], 0
 
 
-def cmd_state_check(args) -> tuple[dict, list[str], int]:
-    pres = parse_presentation(read_input(args.presentation), mode=MODE_STAR)
+def _load_model(args) -> tuple[StarPresentation, states.State,
+                                 states.GnsModel, dict]:
+    """state-check and gns: presentation, state, completed model, report."""
+    pres = _load(args)
     state = parse_state(args.state, pres)
     model = states.gns_basis(states.gram_matrix(state, args.degree))
-    report = base_report("state-check", {
-        "mode": pres.mode, "presentation": canonical_presentation(pres),
-        "state": state.source})
+    report = base_report(args.command,
+                         {**presentation_echo(pres), "state": state.source})
+    return pres, state, model, report
+
+
+def cmd_state_check(args) -> tuple[dict, list[str], int]:
+    _, state, model, report = _load_model(args)
     report.update(kind=state.kind, exact=state.exact,
                   densely_defined=state.densely_defined, degree=args.degree,
                   basis_size=len(model.basis), gram_psd=True,
@@ -354,24 +347,17 @@ def cmd_state_check(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_gns(args) -> tuple[dict, list[str], int]:
-    pres = parse_presentation(read_input(args.presentation), mode=MODE_STAR)
-    state = parse_state(args.state, pres)
-    model = states.gns_basis(states.gram_matrix(state, args.degree))
-    report = base_report("gns", {
-        "mode": pres.mode, "presentation": canonical_presentation(pres),
-        "state": state.source})
+    pres, _, model, report = _load_model(args)
     basis_polys = [format_poly(model.basis_poly(i))
                    for i in range(len(model.basis))]
     if model.exact:
         null_section: object = [format_poly(p) for p in model.null_polys()]
     else:
-        null_section = [[value_json(complex(c)) for c in vec]
-                        for vec in model.null_space]
+        null_section = matrix_json(model.null_space)
     report.update(
         degree=args.degree, basis=basis_polys, gram=matrix_json(model.gram),
         rank=model.rank(), null_space=null_section,
-        orthonormal=[[value_json(complex(c)) for c in vec]
-                     for vec in model.orthonormal])
+        orthonormal=matrix_json(model.orthonormal))
     ops = args.op if args.op else [
         pres.generators[i] for i in range(len(pres.generators))
         if pres.adjoint[i] is None or pres.adjoint[i] >= i]
@@ -403,12 +389,10 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
 # wiring
 # ---------------------------------------------------------------------------
 
-def _pres_arg(p: argparse.ArgumentParser, with_mode: bool = True,
-              mode_default: str = "star") -> None:
+def _pres_arg(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
     p.add_argument("presentation", help="presentation file, or - for stdin")
     if with_mode:
-        p.add_argument("--mode", choices=("star", "algebra"),
-                       default=mode_default,
+        p.add_argument("--mode", choices=("star", "algebra"), default="star",
                        help="presentation flavor (default %(default)s)")
 
 
@@ -434,13 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("parse", cmd_parse, "parse a presentation and report it")
     _pres_arg(p)
 
-    p = add("free", cmd_free,
+    p = add("free", cmd_functor,
             "apply the free *-algebra functor to a plain presentation")
     _pres_arg(p, with_mode=False)
+    p.set_defaults(mode="algebra", functor=free_star)
 
-    p = add("underlying", cmd_underlying,
+    p = add("underlying", cmd_functor,
             "forget the involution of a *-presentation")
     _pres_arg(p, with_mode=False)
+    p.set_defaults(functor=underlying)
 
     p = add("spectrum-check", cmd_spectrum_check,
             "validate a character assignment")

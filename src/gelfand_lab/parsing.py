@@ -14,15 +14,27 @@ Grammar sketch::
     polyExpr     := [ "+" | "-" ] term { ("+" | "-") term }
     term         := factor { "*" factor }
     factor       := atom [ "^" NAT ]
-    atom         := IDENT | "adj" "(" polyExpr ")" | complexLit | "(" polyExpr ")"
+    atom         := genRef | "adj" "(" polyExpr ")" | complexLit | "(" polyExpr ")"
+    genRef       := IDENT | "adj" "(" IDENT ")"
     complexLit   := "(" RAT [ ("+" | "-") RAT "i" ] ")" | RAT
     RAT          := [ "-" ] NAT [ "/" NAT ]
+    intervals    := interval { "x" interval }
+    interval     := "[" NUM "," NUM "]"
+    NUM          := [ "+" | "-" ] ( NAT [ "/" NAT ] | FLOAT )
+
+A genRef names one generator: ``adj(z)`` is the partner that a free
+generator ``z`` brings along, or a generator literally called ``adj(z)``
+(the ``free`` and ``underlying`` functors make such names).  In an atom,
+``adj(IDENT)`` is a genRef only when ``adj(IDENT)`` is a generator; every
+other ``adj(...)`` is the involution of the nested expression.  Character
+and support-point keys, box keys and morphism sources are genRefs, and the
+intervals rule is shared by box entries and ``state density ... on``.
 
 Comments run from ``#`` to end of line.  Whether the presentation is a plain
 algebra or a *-algebra is a parse-time flag, not part of the text; the header
 keyword is always ``algebra``.  Floating point literals are rejected inside
-polynomials and relations but accepted in character values, box bounds, and
-state weights, where numeric data is expected.
+polynomials and relations but accepted in character values, support points
+and interval bounds, where numeric data is expected.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from typing import Union
 
 from . import algebra, spectrum, states
 from .algebra import MODE_ALGEBRA, MODE_STAR, Monomial, RawTable, StarPoly, StarPresentation
-from .errors import ParseError
+from .errors import AlgebraError, ParseError
 from .scalars import ComplexRational
 
 Value = Union[ComplexRational, complex]
@@ -146,8 +158,8 @@ class Parser:
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
         return tok.kind == kind and (text is None or tok.text == text)
 
     def at_word(self, word: str) -> bool:
@@ -282,13 +294,18 @@ class Parser:
     def atom(self, pres: StarPresentation) -> StarPoly:
         tok = self.peek()
         if tok.kind == "ident":
-            if tok.text == "adj" and self.peek(1).kind == "punct" \
-                    and self.peek(1).text == "(":
-                return self._adj_atom(pres)
-            self.advance()
-            if tok.text not in pres.generators:
-                self.error(f"unknown generator {tok.text!r}", tok)
-            return pres.gen(tok.text)
+            # adj( is a genRef only as adj(NAME) naming a generator
+            if tok.text == "adj" and self.at("punct", "(", 1) and not (
+                    self.at("ident", ahead=2) and self.at("punct", ")", 3)
+                    and f"adj({self.peek(2).text})" in pres.generators):
+                self.advance()
+                self.advance()
+                inner = self.nested_poly(pres, tok)
+                if not pres.is_star:
+                    self.error("adj(...) needs an involution; this is a plain "
+                               "algebra presentation", tok)
+                return inner.involute()
+            return pres.gen(self.gen_ref(pres.generators))
         if tok.kind == "nat":
             return pres.scalar(self._rational(signed=False))
         if tok.kind == "float":
@@ -303,53 +320,30 @@ class Parser:
                                "polynomial input", tok)
                 return pres.scalar(value)
             self.advance()
-            value = self.nested_poly(pres, tok)
-            self.expect("punct", ")")
-            return value
+            return self.nested_poly(pres, tok)
         self.error(f"unexpected token {tok.text!r} in polynomial", tok)
         raise AssertionError  # unreachable
 
     def nested_poly(self, pres: StarPresentation, opener: Token) -> StarPoly:
+        """The polynomial after an opening "(" and its closing ")"."""
         if self.depth >= MAX_NESTING:
             self.error(f"expression nests deeper than {MAX_NESTING} levels", opener)
         self.depth += 1
         value = self.poly(pres)
         self.depth -= 1
+        self.expect("punct", ")")
         return value
 
-    def _adj_atom(self, pres: StarPresentation) -> StarPoly:
-        # A literal generator called adj(...)? Auto-named adjoint partners
-        # (and doubly wrapped names from iterated functor application) must
-        # resolve to themselves so the formatter round-trips.
-        save = self.pos
-        depth = 0
-        probe = self.pos
-        while self.tokens[probe].kind == "ident" and self.tokens[probe].text == "adj" \
-                and self.tokens[probe + 1].kind == "punct" \
-                and self.tokens[probe + 1].text == "(":
-            depth += 1
-            probe += 2
-        if depth and self.tokens[probe].kind == "ident":
-            base = self.tokens[probe].text
-            closing = all(
-                self.tokens[probe + 1 + k].kind == "punct"
-                and self.tokens[probe + 1 + k].text == ")"
-                for k in range(depth)
-            )
-            if closing:
-                literal = "adj(" * depth + base + ")" * depth
-                if literal in pres.generators:
-                    self.pos = probe + 1 + depth
-                    return pres.gen(literal)
-        self.pos = save
-        adj_tok = self.advance()  # 'adj'
-        self.expect("punct", "(")
-        inner = self.nested_poly(pres, adj_tok)
-        self.expect("punct", ")")
-        if not pres.is_star:
-            self.error("adj(...) needs an involution; this is a plain "
-                       "algebra presentation", adj_tok)
-        return inner.involute()
+    def gen_ref(self, names: tuple[str, ...], role: str = "generator") -> str:
+        """genRef: a generator name, spelled ``adj(NAME)`` for a partner."""
+        tok = self.expect("ident")
+        name = tok.text
+        if name == "adj" and self.accept("punct", "("):
+            name = f"adj({self.expect('ident').text})"
+            self.expect("punct", ")")
+        if name not in names:
+            self.error(f"unknown {role} {name!r}", tok)
+        return name
 
     # ── numeric literals ─────────────────────────────────────────────
 
@@ -427,18 +421,6 @@ class Parser:
 
     # ── characters ───────────────────────────────────────────────────
 
-    def _value_key(self, pres: StarPresentation) -> str:
-        tok = self.expect("ident")
-        name = tok.text
-        if name == "adj":
-            self.expect("punct", "(")
-            inner = self.expect("ident").text
-            self.expect("punct", ")")
-            name = f"adj({inner})"
-        if name not in pres.generators:
-            self.error(f"unknown generator {name!r}", tok)
-        return name
-
     def assignment_entries(self, pres: StarPresentation,
                            closing: str | None) -> dict[str, Value]:
         """Values of one assignment: all exact, or (when any literal is a
@@ -450,7 +432,7 @@ class Parser:
                 break
             if closing is None and self.at("eof"):
                 break
-            key = self._value_key(pres)
+            key = self.gen_ref(pres.generators)
             if key in literals:
                 self.error(f"generator {key!r} assigned twice")
             self.expect("punct", "=")
@@ -469,7 +451,7 @@ class Parser:
     def _as_float(self, value: ComplexRational, start: int, end: int) -> complex:
         try:
             return complex(value)
-        except OverflowError:
+        except AlgebraError:
             text = "".join(tok.text for tok in self.tokens[start:end])
             self.error(f"numeric literal {text!r} is too large for a floating "
                        "point value", self.tokens[start])
@@ -487,15 +469,20 @@ class Parser:
 
     # ── boxes ────────────────────────────────────────────────────────
 
-    def interval(self) -> tuple[Fraction, Fraction]:
-        self.expect("punct", "[")
-        lo, _ = self._number(signed=True, allow_float=True)
-        self.expect("punct", ",")
-        hi, _ = self._number(signed=True, allow_float=True)
-        tok = self.expect("punct", "]")
-        if lo > hi:
-            self.error("interval bounds out of order", tok)
-        return lo, hi
+    def intervals(self) -> list[tuple[Fraction, Fraction]]:
+        spans: list[tuple[Fraction, Fraction]] = []
+        while True:
+            self.expect("punct", "[")
+            lo, _ = self._number(signed=True, allow_float=True)
+            self.expect("punct", ",")
+            hi, _ = self._number(signed=True, allow_float=True)
+            tok = self.expect("punct", "]")
+            if lo > hi:
+                self.error("interval bounds out of order", tok)
+            spans.append((lo, hi))
+            if not (self.at_word("x") and self.at("punct", "[", 1)):
+                return spans
+            self.advance()
 
     def box(self, pres: StarPresentation) -> spectrum.CompactBox:
         self.accept("ident", "box")
@@ -507,16 +494,11 @@ class Parser:
             if not braced and self.at("eof"):
                 break
             tok = self.peek()
-            name = self._value_key(pres)
+            name = self.gen_ref(pres.generators)
             if name in by_gen:
                 self.error(f"box bounds for {name!r} given twice", tok)
             self.expect("punct", "=")
-            intervals = [self.interval()]
-            while self.at_word("x") and self.peek(1).kind == "punct" \
-                    and self.peek(1).text == "[":
-                self.advance()
-                intervals.append(self.interval())
-            by_gen[name] = intervals
+            by_gen[name] = self.intervals()
             if not self.accept("punct", ";"):
                 break
         if braced:
@@ -552,11 +534,7 @@ class Parser:
         if kind == "density":
             density = self.expect("string").text
             self.expect("ident", "on")
-            intervals = [self.interval()]
-            while self.at_word("x") and self.peek(1).kind == "punct" \
-                    and self.peek(1).text == "[":
-                self.advance()
-                intervals.append(self.interval())
+            intervals = self.intervals()
             self.expect("ident", "order")
             order = int(self.expect("nat").text)
             box = spectrum.CompactBox.from_intervals(pres, intervals)
@@ -571,15 +549,8 @@ class Parser:
                  target: StarPresentation) -> algebra.Morphism:
         images: dict[str, StarPoly] = {}
         while not self.at("eof"):
-            tok = self.expect("ident")
-            name = tok.text
-            if name == "adj":
-                self.expect("punct", "(")
-                inner = self.expect("ident").text
-                self.expect("punct", ")")
-                name = f"adj({inner})"
-            if name not in source.generators:
-                self.error(f"unknown source generator {name!r}", tok)
+            tok = self.peek()
+            name = self.gen_ref(source.generators, "source generator")
             if name in images:
                 self.error(f"image of {name!r} given twice", tok)
             self.expect("arrow")
@@ -631,9 +602,6 @@ def parse_box(text: str, pres: StarPresentation) -> spectrum.CompactBox:
 
 def parse_state(text: str, pres: StarPresentation) -> states.State:
     parser = Parser(tokenize(text))
-    if parser.at("ident", "gaussian") and parser.peek(1).kind == "eof":
-        parser.advance()
-        return states.gaussian_state(pres, None)
     result = parser.state(pres)
     parser.expect_done()
     return result

@@ -11,8 +11,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import AlgebraError
+
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "ComplexRational"]
+
+FLOAT_OVERFLOW = "floating point overflow: the value is too large for a float"
+
+
+def to_float(q: RationalLike) -> float:
+    """``float(q)``, or AlgebraError when q lies outside the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise AlgebraError(FLOAT_OVERFLOW) from None
 
 
 class ComplexRational:
@@ -29,30 +41,36 @@ class ComplexRational:
 
     @staticmethod
     def coerce(value: ScalarLike) -> "ComplexRational":
-        if isinstance(value, ComplexRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ComplexRational(value)
-        raise TypeError(f"cannot interpret {value!r} as an exact complex scalar")
+        if (o := _operand(value)) is None:
+            raise TypeError(
+                f"cannot interpret {value!r} as an exact complex scalar")
+        return o
 
     # ---- arithmetic ----
 
+    # Operands other than int, Fraction and ComplexRational give
+    # NotImplemented, so e.g. ComplexRational(2) * p defers to p.__rmul__.
+
     def __add__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.coerce(other)
+        if (o := _operand(other)) is None:
+            return NotImplemented
         return ComplexRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.coerce(other)
+        if (o := _operand(other)) is None:
+            return NotImplemented
         return ComplexRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.coerce(other)
+        if (o := _operand(other)) is None:
+            return NotImplemented
         return ComplexRational(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.coerce(other)
+        if (o := _operand(other)) is None:
+            return NotImplemented
         return ComplexRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -61,7 +79,8 @@ class ComplexRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "ComplexRational":
-        o = ComplexRational.coerce(other)
+        if (o := _operand(other)) is None:
+            return NotImplemented
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero scalar")
@@ -78,8 +97,9 @@ class ComplexRational:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __neg__(self) -> "ComplexRational":
@@ -120,7 +140,7 @@ class ComplexRational:
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(to_float(self.re), to_float(self.im))
 
     def literal(self) -> str:
         """Canonical source spelling: "3", "-1/2", or "(a+bi)"."""
@@ -134,6 +154,14 @@ class ComplexRational:
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _operand(value: object) -> ComplexRational | None:
+    if isinstance(value, ComplexRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ComplexRational(value)
+    return None
 
 
 ZERO = ComplexRational(0)

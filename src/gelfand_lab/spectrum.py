@@ -14,6 +14,7 @@ really is a character.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import algebra
 from .algebra import Monomial, Morphism, StarPoly, StarPresentation
 from .errors import AlgebraError, CharacterError, UnsupportedError
-from .scalars import ComplexRational
+from .scalars import FLOAT_OVERFLOW, ComplexRational, to_float
 
 Value = Union[ComplexRational, complex]
 
@@ -33,7 +34,7 @@ UNBOUNDED_THRESHOLD = 1e9
 
 def _abs(v: Value) -> float:
     if isinstance(v, ComplexRational):
-        return float(v.abs2()) ** 0.5
+        return to_float(v.abs2()) ** 0.5
     return abs(v)
 
 
@@ -80,10 +81,11 @@ def _eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
                 if e:
                     acc_f *= values[i] ** e
             total_f += acc_f
+        if cmath.isfinite(total_f):
+            return total_f
     except OverflowError:
-        raise AlgebraError("floating point overflow: the value is too large "
-                           "for a float") from None
-    return total_f
+        pass
+    raise AlgebraError(FLOAT_OVERFLOW)
 
 
 def format_value(value: Value) -> str:
@@ -414,29 +416,22 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 
 class BoxSampler:
-    """Uniform draws from a box.  The seed is replayed on every call, so two
+    """Exact uniform draws from a box, each coordinate on the grid of 1024
+    equal steps of its interval.  The seed is replayed on every call, so two
     calls with the same count return the same characters; callers that want
     fresh draws make a new sampler."""
 
-    def __init__(self, box: CompactBox, seed: int, exact: bool = True,
-                 denominator: int = 1024) -> None:
+    def __init__(self, box: CompactBox, seed: int) -> None:
         self.box = box
         self.seed = seed
-        self.exact = exact
-        self.denominator = denominator
 
     def sample(self, count: int) -> list[Character]:
         rng = random.Random(self.seed)
         out: list[Character] = []
         for _ in range(count):
-            point: list[Fraction | float] = []
-            for lo, hi in self.box.intervals:
-                if self.exact:
-                    t = Fraction(rng.randint(0, self.denominator), self.denominator)
-                    point.append(lo + t * (hi - lo))
-                else:
-                    point.append(rng.uniform(float(lo), float(hi)))
-            out.append(character_from_axes(self.box.pres, point, exact=self.exact))
+            point = [lo + Fraction(rng.randint(0, 1024), 1024) * (hi - lo)
+                     for lo, hi in self.box.intervals]
+            out.append(character_from_axes(self.box.pres, point))
         return out
 
 
@@ -494,7 +489,7 @@ def relative_compactness_check(subject: Union[CompactBox, SampleSet],
     """
     from .parsing import format_poly
     if isinstance(subject, CompactBox):
-        bounds = tuple((format_poly(w), float(coefficient_bound(w, subject)))
+        bounds = tuple((format_poly(w), to_float(coefficient_bound(w, subject)))
                        for w in witnesses)
         return CompactnessReport(
             "box", True,

@@ -27,7 +27,7 @@ import numpy as np
 from . import spectrum
 from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
 from .errors import GnsError, StateError
-from .scalars import ONE, ComplexRational
+from .scalars import ONE, ComplexRational, to_float
 from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
 
 Value = Union[ComplexRational, complex]
@@ -148,19 +148,20 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         if density != "uniform":
             raise StateError(f"unknown density {density!r}; the catalog has "
                              f"'uniform', or pass a callable")
-        volume = box.volume()
-        if volume == 0:
+        volume = to_float(box.volume())
+        if volume == 0:  # or below the float range
             raise StateError("the uniform density needs a box of positive "
                              "volume")
-        inv_vol = 1.0 / float(volume)
+        inv_vol = 1.0 / volume
         name, density_fn = density, lambda _point: inv_vol
     else:
         name, density_fn = getattr(density, "__name__", "callable"), density
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     per_axis: list[list[tuple[float, float]]] = []
     for lo, hi in box.intervals:
-        mid = (float(lo) + float(hi)) / 2.0
-        half = (float(hi) - float(lo)) / 2.0
+        lo_f, hi_f = to_float(lo), to_float(hi)
+        mid = (lo_f + hi_f) / 2.0
+        half = (hi_f - lo_f) / 2.0
         per_axis.append([(mid + half * t, half * w)
                          for t, w in zip(base_nodes, base_weights)])
     nodes: list[Character] = []
@@ -333,22 +334,20 @@ def _gns_exact(model: GnsModel) -> GnsModel:
     basis = model.basis
     n = len(basis)
     gram = model.gram
-
-    def dot(u: list[ComplexRational], gv: list[ComplexRational]) -> ComplexRational:
-        return sum((u[i].conjugate() * gv[i] for i in range(n)
-                    if not u[i].is_zero()), ComplexRational(0))
-
+    # The Gram matrix is Hermitian and the kept vectors u are G-orthogonal,
+    # so <u, G v> = conj((G u)[j]) for the current v = e_j - (projections),
+    # and the squared length <v, G v> is (G v)[j].
     ortho: list[tuple[list[ComplexRational], list[ComplexRational], Fraction]] = []
     null: list[tuple[ComplexRational, ...]] = []
     for j in range(n):
         v = [ComplexRational(1) if i == j else ComplexRational(0) for i in range(n)]
         gv = [gram[i][j] for i in range(n)]
         for u, gu, n2 in ortho:
-            c = dot(u, gv) / n2
+            c = gu[j].conjugate() / n2
             if not c.is_zero():
                 v = [vi - c * ui for vi, ui in zip(v, u)]
                 gv = [gvi - c * gui for gvi, gui in zip(gv, gu)]
-        norm2 = dot(v, gv)
+        norm2 = gv[j]
         if not norm2.is_real():
             raise GnsError("Gram pairing produced a non-real squared length")
         if norm2.re < 0:
@@ -359,7 +358,7 @@ def _gns_exact(model: GnsModel) -> GnsModel:
         else:
             ortho.append((v, gv, norm2.re))
     orthonormal = tuple(
-        tuple(complex(c) / float(n2) ** 0.5 for c in v) for v, _, n2 in ortho)
+        tuple(complex(c) / to_float(n2) ** 0.5 for c in v) for v, _, n2 in ortho)
     return replace(model, null_space=tuple(null), orthonormal=orthonormal)
 
 

@@ -171,10 +171,20 @@ def test_approx_epsilon_search(capsys):
     ["eval", "line", "--poly", "x^2000", "--char", "x = 2.5"],
     ["nilpotent", "line", "--poly", "x", "--box", "x = [0, 1]", "--samples", "0"],
     ["nilpotent", "line", "--poly", "x", "--box", "x = [0, 1]", "--samples", "-3"],
+    ["eval", "plane", "--poly", "x*y", "--char", "x = 1e200 ; y = 1e200", "--json"],
+    ["seminorm", "line", "--poly", "x^200", "--box", "x = [0, 1000000]", "--json"],
+    ["gns", "line", "--degree", "8", "--json",
+     "--state", "state atomic { (x = 1000000000000000000000000) : 1 }"],
+    ["nilpotent", "line", "--poly", "x^300", "--box", "x = [0, 10000000]",
+     "--samples", "3", "--json"],
+    ["nilpotent", "line", "--poly", "x^2", "--box", "x = [0, 1e200]",
+     "--samples", "3", "--json"],
 ], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
         "complex-overflow", "int-beside-float", "int-beside-float-support",
         "uniform-zero-volume", "float-power-overflow", "samples-zero",
-        "samples-negative"])
+        "samples-negative", "float-product-overflow", "seminorm-overflow",
+        "gns-operator-overflow", "radical-power-overflow",
+        "radical-box-overflow"])
 def test_bad_numbers_exit_one_without_traceback(files, argv):
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
@@ -182,6 +192,7 @@ def test_bad_numbers_exit_one_without_traceback(files, argv):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
 
 
 @pytest.mark.parametrize("opener", ["(", "adj("])

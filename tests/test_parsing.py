@@ -12,7 +12,8 @@ from gelfand_lab.algebra import (normalize_table, raw_add_into, raw_involute,
                                  raw_mul, sort_terms)
 from gelfand_lab.cli import (canonical_box, canonical_morphism,
                              canonical_presentation)
-from gelfand_lab.errors import (CharacterError, ParseError, StateError)
+from gelfand_lab.errors import (AlgebraError, CharacterError, ParseError,
+                                 StateError)
 from gelfand_lab.scalars import ONE
 
 from helpers import (CIRCLE, DISK, LINE, NIL, SPHERE, circle, disk, line, nil,
@@ -65,6 +66,35 @@ def test_adj_resolution_over_underlying_names():
     # semantic involution is unavailable without a pairing
     with pytest.raises(ParseError, match="involution"):
         gl.parse_poly("adj(z + 1)", u)
+
+
+def test_adj_names_read_alike_in_every_role():
+    # adj(z) is the partner in star mode and a literal generator name over
+    # underlying(disk); both slots are index 1, so every role reads alike
+    d = disk()
+    u = gl.underlying(d)
+    for text in ("adj(z)", "adj(z)^2*z - 3*adj(z) + (1+1i)", "z*adj(z)"):
+        assert gl.parse_poly(text, d).terms == gl.parse_poly(text, u).terms
+    text = "z = (1+2i) ; adj(z) = (1-2i)"
+    assert gl.parse_character(text, d).values == \
+        gl.parse_character(text, u).values
+    box = "z = [0, 1] x [0, 2] ; adj(z) = [0, 3] x [-1, 0]"
+    assert gl.parse_box(box, u).intervals == (
+        (0, 1), (0, 2), (0, 3), (-1, 0))
+    with pytest.raises(AlgebraError, match=r"non-axis generator 'adj\(z\)'"):
+        gl.parse_box(box, d)  # in star mode the partner has no axes
+    images = "adj(z) -> adj(z)^2 ; z -> z^2"
+    assert [p.terms for p in gl.parse_morphism(images, d, d).images] == \
+        [p.terms for p in gl.parse_morphism(images, u, u).images]
+    rng = Random(5)
+    for _ in range(50):
+        p = rand_poly(u, rng, max_degree=4, max_terms=5)
+        assert gl.parse_poly(gl.format_poly(p), u).terms == p.terms
+    # adj(NAME) names a generator only when that name exists
+    for bad in ("adj(x)", "adj(w)"):
+        with pytest.raises(ParseError, match="unknown generator"):
+            gl.parse_character(f"{bad} = 1", line())
+    assert gl.parse_poly("adj(x)", line()) == line().gen("x")
 
 
 def test_adj_chains_and_semantic_fallback():
@@ -336,6 +366,29 @@ def test_box_parse():
         gl.parse_box("x = [0, 1] ; x = [0, 2]", line())
 
 
+def test_interval_lists_in_boxes_and_densities():
+    pair = gl.parse_presentation(
+        "algebra P ; generator z, w : free ; generator x : selfadjoint ;")
+    b = gl.parse_box("box { z = [-1, 1] x [0, 1/2] ; x = [2, 3] ; "
+                     "w = [0, 0.5]x[-2, -1] }", pair)
+    assert b.intervals == ((-1, 1), (0, Fraction(1, 2)), (0, Fraction(1, 2)),
+                           (-2, -1), (2, 3))
+    with pytest.raises(ParseError, match="out of order"):
+        gl.parse_box("z = [0, 1] x [1, 0] ; w = [0, 1] x [0, 1] ; x = [0, 1]",
+                     pair)
+    with pytest.raises(ParseError, match="trailing input 'x'"):
+        gl.parse_box("x = [0, 1] x", line())
+    with pytest.raises(AlgebraError, match="needs 2 interval"):
+        gl.parse_box("z = [0, 1] ; w = [0, 1] x [0, 1] ; x = [0, 1]", pair)
+    text = 'state density "uniform" on [-1, 1] x [0, 1/2] order 3'
+    q = gl.parse_state(text, disk())
+    assert q.source == text
+    assert q.support_box.intervals == ((-1, 1), (0, Fraction(1, 2)))
+    with pytest.raises(ParseError, match="out of order"):
+        gl.parse_state('state density "uniform" on [0, 1] x [1, 0] order 3',
+                       disk())
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -351,9 +404,12 @@ def test_state_parse_atomic():
 
 
 def test_state_parse_gaussian_and_density():
-    s = gl.parse_state("gaussian", line())
-    assert s.kind == "analytic" and s.densely_defined
-    assert s.source == "state gaussian(x)"
+    for text in ("gaussian", " state gaussian ", "gaussian(x)"):
+        s = gl.parse_state(text, line())
+        assert s.kind == "analytic" and s.densely_defined
+        assert s.source == "state gaussian(x)"
+    with pytest.raises(ParseError, match="trailing"):
+        gl.parse_state("gaussian x", line())
     s2 = gl.parse_state("state gaussian(x)", line())
     assert s2.source == "state gaussian(x)"
     q = gl.parse_state('state density "uniform" on [0, 2] order 6', line())

@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gelfand_lab import ComplexRational
+from gelfand_lab.errors import AlgebraError
+
+from helpers import disk
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(ComplexRational, fractions, fractions)
@@ -72,6 +75,30 @@ def test_power():
     assert i ** 0 == ComplexRational(1)
     c = ComplexRational(Fraction(1, 2), Fraction(1, 3))
     assert c ** 3 == c * c * c
+    product = ComplexRational(1)
+    for n in range(12):
+        assert c ** n == product
+        product = product * c
+
+
+def test_operators_defer_to_polynomials():
+    p = disk().gen("z") + ComplexRational(1, -1)
+    two = ComplexRational(2)
+    assert two * p == 2 * p
+    assert two + p == 2 + p
+    assert two - p == 2 - p
+    for bad in (0.5, "2", p):
+        with pytest.raises(TypeError):
+            two / bad
+    with pytest.raises(TypeError):
+        two * 0.5
+
+
+def test_float_conversion_out_of_range():
+    assert complex(ComplexRational(Fraction(1, 3), -2)) == complex(1 / 3, -2)
+    for big in (ComplexRational(10 ** 400), ComplexRational(0, -10 ** 400)):
+        with pytest.raises(AlgebraError, match="floating point overflow"):
+            complex(big)
 
 
 def test_literals():

@@ -498,3 +498,63 @@ def test_moment_tables_are_per_model():
     assert completed.moments is first.moments
     gl.multiplication_operator(completed, "x")
     assert len(first.moments) == 6 and len(second.moments) == 5
+
+
+# ---------------------------------------------------------------------------
+# exact Gram-Schmidt against the inner-product reference
+# ---------------------------------------------------------------------------
+
+def reference_gns_exact(gram):
+    """Gram-Schmidt with an explicit G-inner product per projection and per
+    squared length; returns (null space, orthonormal vectors)."""
+    n = len(gram)
+
+    def dot(u, gv):
+        return sum((u[i].conjugate() * gv[i] for i in range(n)
+                    if not u[i].is_zero()), ComplexRational(0))
+
+    ortho, null = [], []
+    for j in range(n):
+        v = [ComplexRational(int(i == j)) for i in range(n)]
+        gv = [gram[i][j] for i in range(n)]
+        for u, gu, n2 in ortho:
+            c = dot(u, gv) / n2
+            if not c.is_zero():
+                v = [vi - c * ui for vi, ui in zip(v, u)]
+                gv = [gvi - c * gui for gvi, gui in zip(gv, gu)]
+        norm2 = dot(v, gv)
+        assert norm2.is_real() and norm2.re >= 0
+        if norm2.re == 0:
+            null.append(tuple(v))
+        else:
+            ortho.append((v, gv, norm2.re))
+    orthonormal = tuple(
+        tuple(complex(c) / float(n2) ** 0.5 for c in v) for v, _, n2 in ortho)
+    return tuple(null), orthonormal
+
+
+def _random_atomic(rng):
+    pres = line() if rng.random() < 0.5 else disk()
+    count = rng.randint(1, 6)
+    # repeated support points shrink the rank and so exercise the null space
+    points = [rand_scalar(rng, span=3)
+              for _ in range(rng.randint((count + 1) // 2, count))]
+    atoms = []
+    for _ in range(count):
+        v = rng.choice(points)
+        value = ComplexRational(v.re) if pres.generators == ("x",) else v
+        atoms.append(({pres.generators[0]: value}, Fraction(1, count)))
+    degree = rng.randint(1, 6) if pres.generators == ("x",) else rng.randint(1, 2)
+    return gl.atomic_state(pres, atoms), degree
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gns_exact_matches_inner_product_reference(seed):
+    rng = Random(seed)
+    cases = [_random_atomic(rng), _random_atomic(rng),
+             (gl.gaussian_state(line()), rng.randint(0, 10))]
+    for state, degree in cases:
+        model = gl.gns_basis(gl.gram_matrix(state, degree))
+        null, orthonormal = reference_gns_exact(model.gram)
+        assert model.null_space == null
+        assert model.orthonormal == orthonormal
