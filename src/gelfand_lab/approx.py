@@ -26,7 +26,7 @@ import numpy as np
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
 from .errors import AlgebraError, UnsupportedError
-from .scalars import ComplexRational, to_float
+from .scalars import ComplexRational, sqrt_to_float, to_float
 from .spectrum import CompactBox, coefficient_bound
 
 
@@ -36,10 +36,13 @@ from .spectrum import CompactBox, coefficient_bound
 
 @dataclass(frozen=True)
 class SeminormEstimate:
-    """Bracketing of a sup-seminorm: grid lower bound, certified upper bound.
+    """Bracketing of a sup-seminorm: a grid lower bound and an upper bound.
 
-    For exact subjects the fields lower_sq (the exact squared grid maximum)
-    and upper_exact (the exact certified bound) back the floats.
+    For exact subjects (``exact``) the upper bound is certified by
+    coefficient bounding, and the fields lower_sq (the exact squared grid
+    maximum) and upper_exact (the exact bound) back the floats.  For float
+    subjects both ends are the same float grid maximum, which certifies
+    nothing about the points between the grid nodes.
     """
 
     lower: float
@@ -56,16 +59,15 @@ class TargetFunction:
 
     ``fn`` takes a point as a tuple of floats.  ``exact_fn``, when present,
     evaluates the same function on rational points in exact arithmetic, which
-    lets Bernstein coefficients stay exactly representable.  ``slack`` is the
-    declared modulus bound used to certify an upper seminorm estimate from a
-    grid maximum; zero means the grid maximum is reported as-is.
+    lets Bernstein coefficients stay exactly representable.  A target has no
+    declared modulus of continuity, so its seminorm estimates are grid
+    maxima, not certified bounds.
     """
 
     name: str
     dim: int
     fn: Callable[[tuple[float, ...]], Union[float, complex]]
     exact_fn: Callable[[tuple[Fraction, ...]], Union[Fraction, ComplexRational]] | None = None
-    slack: float = 0.0
 
 
 def catalog_target(name: str, dim: int = 1) -> TargetFunction:
@@ -84,8 +86,7 @@ def catalog_target(name: str, dim: int = 1) -> TargetFunction:
     raise UnsupportedError(f"unknown catalog target {name!r}")
 
 
-def tabulated_target(values: Sequence[float], name: str = "tabulated",
-                     slack: float = 0.0) -> TargetFunction:
+def tabulated_target(values: Sequence[float], name: str = "tabulated") -> TargetFunction:
     """Piecewise-linear interpolant of uniformly spaced samples on [0, 1]."""
     if len(values) < 2:
         raise AlgebraError("tabulated target needs at least two samples")
@@ -97,7 +98,7 @@ def tabulated_target(values: Sequence[float], name: str = "tabulated",
         frac = x - k
         return ys[k] * (1.0 - frac) + ys[k + 1] * frac
 
-    return TargetFunction(name, 1, fn, slack=slack)
+    return TargetFunction(name, 1, fn)
 
 
 def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
@@ -185,8 +186,8 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
     Polynomial subjects are evaluated exactly on the rational grid; the upper
     bound comes from coefficient bounding and the exact invariant
     lower <= upper is re-verified before rounding to floats.  Function
-    subjects get a float grid maximum and an upper bound scaled by the
-    declared slack.
+    subjects get their float grid maximum as both ends, an uncertified
+    estimate.
     """
     if resolution < 2:
         raise AlgebraError("seminorm needs a grid resolution of at least 2")
@@ -195,7 +196,7 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
         max_sq = _grid_max_abs2(subject, box, resolution)
         if max_sq > upper_exact * upper_exact:
             raise AssertionError("grid maximum exceeded its certified bound")
-        lower = math.sqrt(to_float(max_sq))
+        lower = sqrt_to_float(max_sq)
         upper = to_float(upper_exact)
         if lower > upper:  # float rounding at an exactly attained bound
             lower = upper
@@ -208,7 +209,7 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
     best = 0.0
     for point in itertools.product(*axes):
         best = max(best, abs(subject.fn(tuple(point))))
-    return SeminormEstimate(best, best * (1.0 + subject.slack), resolution, False)
+    return SeminormEstimate(best, best, resolution, False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def bernstein_approx(f: TargetFunction, n: int,
     for mapped, approx_val in zip(itertools.product(*mapped_axes), approx_vals.flat):
         err = abs(complex(f.fn(mapped)) - approx_val)
         best = max(best, err)
-    error = SeminormEstimate(best, best * (1.0 + f.slack), error_resolution, False)
+    error = SeminormEstimate(best, best, error_resolution, False)
     return BernsteinResult(poly, n, float_vals, error)
 
 

@@ -14,13 +14,16 @@ Grammar sketch::
     polyExpr     := [ "+" | "-" ] term { ("+" | "-") term }
     term         := factor { "*" factor }
     factor       := atom [ "^" NAT ]
-    atom         := genRef | "adj" "(" polyExpr ")" | complexLit | "(" polyExpr ")"
+    atom         := genRef | "adj" "(" polyExpr ")" | RAT | complexLit | "(" polyExpr ")"
     genRef       := IDENT | "adj" "(" IDENT ")"
-    complexLit   := "(" RAT [ ("+" | "-") RAT "i" ] ")" | RAT
-    RAT          := [ "-" ] NAT [ "/" NAT ]
+    complexLit   := "(" NUM [ ("+" | "-") ( RAT | FLOAT ) "i" ] ")"
+    value        := complexLit | NUM
     intervals    := interval { "x" interval }
     interval     := "[" NUM "," NUM "]"
-    NUM          := [ "+" | "-" ] ( NAT [ "/" NAT ] | FLOAT )
+    NUM          := [ "+" | "-" ] ( RAT | FLOAT )
+    RAT          := NAT [ "/" NAT ]
+    NAT          := ASCII digits [0-9]+
+    FLOAT        := NAT "." NAT [ EXP ] | NAT EXP       EXP := ("e" | "E") [ "+" | "-" ] NAT
 
 A genRef names one generator: ``adj(z)`` is the partner that a free
 generator ``z`` brings along, or a generator literally called ``adj(z)``
@@ -33,16 +36,17 @@ intervals rule is shared by box entries and ``state density ... on``.
 Comments run from ``#`` to end of line.  Whether the presentation is a plain
 algebra or a *-algebra is a parse-time flag, not part of the text; the header
 keyword is always ``algebra``.  Floating point literals are rejected inside
-polynomials and relations but accepted in character values, support points
-and interval bounds, where numeric data is expected.
+polynomials, relations and state weights but accepted in character values,
+support points and interval bounds, where numeric data is expected.  Every
+number token converts once, in the tokenizer, to its exact value; a literal
+whose digits plus exponent magnitude exceed MAX_LITERAL_DIGITS is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+import re
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import algebra, spectrum, states
 from .algebra import MODE_ALGEBRA, MODE_STAR, Monomial, RawTable, StarPoly, StarPresentation
@@ -52,6 +56,12 @@ from .scalars import ComplexRational
 Value = Union[ComplexRational, complex]
 
 _PUNCT = set(";,:^*+-()={}[]/")
+_NUMBER = re.compile(r"([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?")
+_STRING = re.compile(r'"[^"\n]*"')
+
+# Python's own cap on int(str) digits.  It bounds a literal's digits plus its
+# exponent magnitude, and so the size of the literal's exact value.
+MAX_LITERAL_DIGITS = 4300
 
 # Each level of ( ) or adj( ) costs about five interpreter frames; this
 # keeps deep input far from the recursion limit.
@@ -60,12 +70,33 @@ MAX_NESTING = 100
 
 # ── tokens ───────────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | nat | float | string | punct | arrow | eof
     text: str
     line: int
     col: int
+    value: int | Fraction | None = None  # exact value of a nat or float token
+
+
+def number_token(number: re.Match, line: int, col: int) -> Token:
+    """The nat or float token of a _NUMBER match, with its exact value.
+
+    A literal whose digits plus exponent magnitude exceed MAX_LITERAL_DIGITS
+    is a ParseError, so no literal builds an unbounded power of ten.  A NAT's
+    value is an int, a FLOAT's the Fraction of its text (2.5 -> 5/2).
+    """
+    text = number.group()
+    whole, fraction, exponent = number.groups()
+    # testing the length first keeps int(exponent) within int()'s own cap
+    if len(text) > MAX_LITERAL_DIGITS or (len(whole) + len(fraction or "")
+                                          + abs(int(exponent or 0))
+                                          > MAX_LITERAL_DIGITS):
+        shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
+        raise ParseError(f"numeric literal {shown!r} is too long: its digits plus "
+                         f"exponent exceed {MAX_LITERAL_DIGITS}", line, col)
+    if fraction is None and exponent is None:
+        return Token("nat", text, line, col, int(text))
+    return Token("float", text, line, col, Fraction(text))
 
 
 def tokenize(text: str) -> list[Token]:
@@ -74,73 +105,36 @@ def tokenize(text: str) -> list[Token]:
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        j = i + 1  # end of the lexeme at i
         if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+            line, col, i = line + 1, 1, j
             continue
         if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("arrow", "->", line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError("unterminated string literal", line, start_col)
-            tokens.append(Token("string", text[i + 1:j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            tokens.append(Token("float" if is_float else "nat", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            pass
+        elif ch == "#":
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+        elif ch == "-" and text.startswith(">", j):
+            j += 1
+            tokens.append(Token("arrow", "->", line, col))
+        elif ch in _PUNCT:
+            tokens.append(Token("punct", ch, line, col))
+        elif ch == '"':
+            if not (string := _STRING.match(text, i)):
+                raise ParseError("unterminated string literal", line, col)
+            j = string.end()
+            tokens.append(Token("string", text[i + 1:j - 1], line, col))
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+            tokens.append(Token("ident", text[i:j], line, col))
+        elif number := _NUMBER.match(text, i):
+            j = number.end()
+            tokens.append(number_token(number, line, col))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        col += j - i
+        i = j
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -288,7 +282,7 @@ class Parser:
     def factor(self, pres: StarPresentation) -> StarPoly:
         base = self.atom(pres)
         if self.accept("punct", "^"):
-            return base ** int(self.expect("nat").text)
+            return base ** self.nat()
         return base
 
     def atom(self, pres: StarPresentation) -> StarPoly:
@@ -307,21 +301,18 @@ class Parser:
                 return inner.involute()
             return pres.gen(self.gen_ref(pres.generators))
         if tok.kind == "nat":
-            return pres.scalar(self._rational(signed=False))
-        if tok.kind == "float":
+            return pres.scalar(self.rat())
+        lit = self.complex_lit()  # read with floats, then rejected if inexact
+        float_tok = tok if tok.kind == "float" else lit and lit[1]
+        if float_tok:
             self.error("floating point literals are not allowed in "
-                       "polynomial input", tok)
-        if tok.kind == "punct" and tok.text == "(":
-            lit = self._try_complex_literal(allow_float=False)
-            if lit is not None:
-                value, exact = lit
-                if not exact:
-                    self.error("floating point literals are not allowed in "
-                               "polynomial input", tok)
-                return pres.scalar(value)
-            self.advance()
+                       "polynomial input", float_tok)
+        if lit:
+            return pres.scalar(lit[0])
+        if self.accept("punct", "("):
             return self.nested_poly(pres, tok)
-        self.error(f"unexpected token {tok.text!r} in polynomial", tok)
+        got = "end of input" if tok.kind == "eof" else f"token {tok.text!r}"
+        self.error(f"unexpected {got} in polynomial", tok)
         raise AssertionError  # unreachable
 
     def nested_poly(self, pres: StarPresentation, opener: Token) -> StarPoly:
@@ -347,76 +338,60 @@ class Parser:
 
     # ── numeric literals ─────────────────────────────────────────────
 
-    def _rational(self, signed: bool) -> Fraction:
-        sign = 1
-        if signed:
-            if self.accept("punct", "-"):
-                sign = -1
-            else:
-                self.accept("punct", "+")
-        tok = self.expect("nat")
-        value = Fraction(int(tok.text))
+    def nat(self) -> int:
+        """NAT: exponents, quadrature orders and the parts of a RAT."""
+        return self.expect("nat").value
+
+    def rat(self) -> Fraction:
+        """RAT: p or p/q, q nonzero."""
+        value = Fraction(self.nat())
         if self.accept("punct", "/"):
-            den_tok = self.expect("nat")
-            den = int(den_tok.text)
+            den_tok = self.peek()
+            den = self.nat()
             if den == 0:
                 self.error("zero denominator", den_tok)
             value /= den
-        return sign * value
+        return value
 
-    def _number(self, signed: bool, allow_float: bool) -> tuple[Fraction, bool]:
-        """Returns (value as exact Fraction, literal-was-exact flag).
+    def num(self) -> tuple[Fraction, Token | None]:
+        """NUM: the exact value, and its FLOAT token if it was written as one.
 
-        Decimal floats convert exactly (2.5 -> 5/2), but they mark the
+        A decimal float converts exactly (2.5 -> 5/2), but it marks the
         surrounding datum as floating point.
         """
-        sign = 1
-        if signed:
-            if self.accept("punct", "-"):
-                sign = -1
-            else:
-                self.accept("punct", "+")
-        tok = self.peek()
-        if tok.kind == "float":
-            if not allow_float:
-                self.error("floating point literal not allowed here", tok)
-            self.advance()
-            try:
-                value = Fraction(Decimal(tok.text))
-            except InvalidOperation:
-                self.error(f"bad numeric literal {tok.text!r}", tok)
-            return sign * value, False
-        return sign * self._rational(signed=False), True
+        sign_tok = self.accept("punct", "-") or self.accept("punct", "+")
+        sign = -1 if sign_tok and sign_tok.text == "-" else 1
+        if self.at("float"):
+            tok = self.advance()
+            return sign * tok.value, tok
+        return sign * self.rat(), None
 
-    def _try_complex_literal(self, allow_float: bool) -> tuple[ComplexRational, bool] | None:
-        """Attempt "(" num [("+"|"-") num "i"] ")" with backtracking."""
+    def complex_lit(self) -> tuple[ComplexRational, Token | None] | None:
+        """complexLit with backtracking: None, with the position unmoved,
+        when the text at "(" is not one."""
         if not self.at("punct", "("):
             return None
         save = self.pos
         try:
             self.advance()
-            re, re_exact = self._number(signed=True, allow_float=allow_float)
-            im = Fraction(0)
-            im_exact = True
+            re, re_float = self.num()
+            im, im_float = Fraction(0), None
             if self.at("punct", "+") or self.at("punct", "-"):
-                sign = -1 if self.advance().text == "-" else 1
-                mag, im_exact = self._number(signed=False, allow_float=allow_float)
-                im = sign * mag
+                im, im_float = self.num()
                 self.expect("ident", "i")
             self.expect("punct", ")")
         except ParseError:
             self.pos = save
             return None
-        return ComplexRational(re, im), re_exact and im_exact
+        return ComplexRational(re, im), re_float or im_float
 
-    def scalar_value(self) -> tuple[ComplexRational, bool]:
-        """A standalone numeric value: rational, decimal float, or complex
-        literal, with its literal-was-exact flag.  Used for character values
-        and atomic state support points."""
-        lit = self._try_complex_literal(allow_float=True)
+    def scalar_value(self) -> tuple[ComplexRational, Token | None]:
+        """value: a complexLit or a NUM, with its first FLOAT token, if any.
+        Used for character values and atomic state support points."""
+        lit = self.complex_lit()
         if lit is None:
-            re, exact = self._number(signed=True, allow_float=True)
-            lit = ComplexRational(re), exact
+            re, float_tok = self.num()
+            lit = ComplexRational(re), float_tok
         return lit
 
     # ── characters ───────────────────────────────────────────────────
@@ -437,9 +412,9 @@ class Parser:
                 self.error(f"generator {key!r} assigned twice")
             self.expect("punct", "=")
             start = self.pos
-            value, value_exact = self.scalar_value()
+            value, float_tok = self.scalar_value()
             literals[key] = (value, start, self.pos)
-            exact = exact and value_exact
+            exact = exact and float_tok is None
             if not (self.accept("punct", ";") or self.accept("punct", ",")):
                 break
         if not literals:
@@ -473,9 +448,9 @@ class Parser:
         spans: list[tuple[Fraction, Fraction]] = []
         while True:
             self.expect("punct", "[")
-            lo, _ = self._number(signed=True, allow_float=True)
+            lo, _ = self.num()
             self.expect("punct", ",")
-            hi, _ = self._number(signed=True, allow_float=True)
+            hi, _ = self.num()
             tok = self.expect("punct", "]")
             if lo > hi:
                 self.error("interval bounds out of order", tok)
@@ -519,7 +494,9 @@ class Parser:
                 values = self.assignment_entries(pres, closing=")")
                 self.expect("punct", ")")
                 self.expect("punct", ":")
-                weight = self._rational(signed=True)
+                weight, float_tok = self.num()
+                if float_tok:
+                    self.error("a state weight must be an exact rational", float_tok)
                 atoms.append((values, weight))
                 if not self.accept("punct", ";"):
                     break
@@ -536,7 +513,7 @@ class Parser:
             self.expect("ident", "on")
             intervals = self.intervals()
             self.expect("ident", "order")
-            order = int(self.expect("nat").text)
+            order = self.nat()
             box = spectrum.CompactBox.from_intervals(pres, intervals)
             return states.quadrature_state(pres, box, density, order)
         self.error(f"unknown state kind {kind!r}; expected atomic, gaussian, "

@@ -8,6 +8,7 @@ values, quadrature, matrix factorizations).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -25,6 +26,22 @@ def to_float(q: RationalLike) -> float:
         return float(q)
     except OverflowError:
         raise AlgebraError(FLOAT_OVERFLOW) from None
+
+
+def sqrt_to_float(q: RationalLike) -> float:
+    """The square root of an exact q >= 0 as a float, never rounded up.
+
+    In the float range this is ``math.sqrt(float(q))``.  When q itself is
+    past it, the root is the integer square root of floor(q), rounded down
+    to a float, so a root that fits is found and a lower bound stays one;
+    a root past the float range is AlgebraError.
+    """
+    try:
+        return math.sqrt(float(q))
+    except OverflowError:
+        root = math.isqrt(math.floor(q))
+        value = to_float(root)
+        return value if int(value) <= root else math.nextafter(value, 0.0)
 
 
 class ComplexRational:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from . import algebra
 from .algebra import Monomial, Morphism, StarPoly, StarPresentation
 from .errors import AlgebraError, CharacterError, UnsupportedError
-from .scalars import FLOAT_OVERFLOW, ComplexRational, to_float
+from .scalars import FLOAT_OVERFLOW, ComplexRational, sqrt_to_float, to_float
 
 Value = Union[ComplexRational, complex]
 
@@ -34,7 +34,7 @@ UNBOUNDED_THRESHOLD = 1e9
 
 def _abs(v: Value) -> float:
     if isinstance(v, ComplexRational):
-        return to_float(v.abs2()) ** 0.5
+        return sqrt_to_float(v.abs2())
     return abs(v)
 
 

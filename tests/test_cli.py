@@ -12,6 +12,7 @@ DISK = "algebra Disk ;\ngenerator z : free ;\n"
 NIL = "algebra Nil ;\ngenerator x : selfadjoint ;\nrelation x^2 ;\n"
 PLANE = "algebra Plane ;\ngenerator x, y : selfadjoint ;\n"
 BIG = "1" + "0" * 400
+HUGE = "1" * 5000  # past the 4300-digit literal cap
 
 
 @pytest.fixture()
@@ -179,20 +180,40 @@ def test_approx_epsilon_search(capsys):
      "--samples", "3", "--json"],
     ["nilpotent", "line", "--poly", "x^2", "--box", "x = [0, 1e200]",
      "--samples", "3", "--json"],
+    ["eval", "line", "--poly", "x^\u00b2", "--char", "x=1"],
+    ["eval", "line", "--poly", HUGE, "--char", "x=1"],
+    ["eval", "line", "--poly", f"x^{HUGE}", "--char", "x=1"],
+    ["eval", "line", "--poly", "x", "--char", "x=1e99999999999"],
+    ["eval", "line", "--poly", "x", "--char", "x=1.5e-99999999999"],
+    ["seminorm", "line", "--poly", "x", "--box", "x = [0, 1e-99999999999]"],
 ], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
         "complex-overflow", "int-beside-float", "int-beside-float-support",
         "uniform-zero-volume", "float-power-overflow", "samples-zero",
         "samples-negative", "float-product-overflow", "seminorm-overflow",
         "gns-operator-overflow", "radical-power-overflow",
-        "radical-box-overflow"])
+        "radical-box-overflow", "unicode-digit-exponent", "huge-literal",
+        "huge-exponent", "huge-float-exponent", "huge-negative-exponent",
+        "huge-box-exponent"])
 def test_bad_numbers_exit_one_without_traceback(files, argv):
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["seminorm", "nilpotent"])
+def test_root_in_range_of_overflowing_square(files, capsys, command):
+    # |x| on [0, 1e200] fits in a float although its square does not
+    code, doc, _ = run_json(capsys, command, files["line"], "--poly", "x",
+                            "--box", "x = [0, 1e200]")
+    assert code == 0
+    if command == "seminorm":
+        assert doc["lower"] == doc["upper"] == 1e200
+    else:
+        assert 1e199 < doc["radical"]["max_abs"] <= 1e200
 
 
 @pytest.mark.parametrize("opener", ["(", "adj("])

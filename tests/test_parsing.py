@@ -1,3 +1,5 @@
+import string
+import time
 from fractions import Fraction
 from random import Random
 
@@ -12,8 +14,9 @@ from gelfand_lab.algebra import (normalize_table, raw_add_into, raw_involute,
                                  raw_mul, sort_terms)
 from gelfand_lab.cli import (canonical_box, canonical_morphism,
                              canonical_presentation)
-from gelfand_lab.errors import (AlgebraError, CharacterError, ParseError,
-                                 StateError)
+from gelfand_lab.errors import (AlgebraError, CharacterError, GelfandError,
+                                 ParseError, StateError)
+from gelfand_lab.parsing import MAX_LITERAL_DIGITS
 from gelfand_lab.scalars import ONE
 
 from helpers import (CIRCLE, DISK, LINE, NIL, SPHERE, circle, disk, line, nil,
@@ -137,6 +140,95 @@ def test_poly_rejects_floats_and_junk():
         with pytest.raises(ParseError, match="nests deeper than 100"):
             gl.parse_poly(opener * 101 + "x" + ")" * 101, p)
         assert gl.parse_poly(opener * 100 + "x" + ")" * 100, p) == p.gen("x")
+
+
+def test_end_of_input_diagnostics():
+    p = line()
+    with pytest.raises(ParseError, match=r"1:11: unexpected end of input"):
+        gl.parse_poly("x + # note", p)
+    with pytest.raises(ParseError, match=r"2:1: unexpected end of input"):
+        gl.parse_poly("x *  # note\n", p)
+    with pytest.raises(ParseError, match="unexpected token ';' in polynomial"):
+        gl.parse_poly("x + ;", p)
+
+
+# ---------------------------------------------------------------------------
+# numeric literals
+# ---------------------------------------------------------------------------
+
+def test_number_forms():
+    m = gl.parse_presentation("algebra M ; generator x, y : selfadjoint ;")
+    for text, value in (("2.5", Fraction(5, 2)), ("1e-3", Fraction(1, 1000)),
+                        ("1.5E+2", Fraction(150)), ("-2e2", Fraction(-200)),
+                        ("+3", Fraction(3)), ("007", Fraction(7))):
+        c = gl.parse_character(f"x = {text} ; y = 0.5", m)
+        assert c.value("x") == float(value)
+    assert gl.parse_box("x = [-1.5e1, 3/4]", line()).intervals == \
+        ((Fraction(-15), Fraction(3, 4)),)
+    # "1." and a bare exponent letter end the number before them
+    with pytest.raises(ParseError, match="unexpected character '.'"):
+        gl.parse_character("x = 1.", line())
+    with pytest.raises(ParseError, match="trailing input 'e'"):
+        gl.parse_character("x = 1e", line())
+    assert gl.parse_poly("x^007", line()) == line().gen("x") ** 7
+    with pytest.raises(ParseError, match="exact rational"):
+        gl.parse_state("state atomic { (x = 1) : 1.0 }", line())
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\u09ea", "\U0001d7d8"])
+def test_unicode_digits_are_unexpected(digit):
+    with pytest.raises(ParseError, match="unexpected character"):
+        gl.parse_poly(f"x^{digit}", line())
+    with pytest.raises(ParseError, match="unexpected character"):
+        gl.parse_character(f"x = {digit}", line())
+
+
+def test_literal_size_cap():
+    cap = MAX_LITERAL_DIGITS
+    p = line()
+    assert gl.parse_poly("7" * cap, p) == p.scalar(int("7" * cap))
+    assert gl.parse_box(f"x = [0, 1e{cap - 1}]", p).intervals == \
+        ((0, 10 ** (cap - 1)),)
+    for text in ("7" * (cap + 1), f"1e{cap}", f"1.5e-{cap - 1}", "1e99999999999",
+                 "1e" + "0" * cap + "1"):
+        with pytest.raises(ParseError, match="too long: its digits plus exponent"):
+            gl.parse_box(f"x = [0, {text}]", p)
+    with pytest.raises(ParseError, match=r"1:7: numeric literal '7{20}\.\.\.7{10}'"):
+        gl.parse_poly("x + 1/" + "7" * (cap + 1), p)
+    # backtracking out of a complex literal keeps the size error
+    with pytest.raises(ParseError, match="'1e99999' is too long"):
+        gl.parse_character("x = (1e99999)", p)
+    with pytest.raises(ParseError, match="'1e99999' is too long"):
+        gl.parse_poly("(1 + 1e99999i) * x", disk())
+
+
+FUZZ_ALPHABET = string.printable + "\u00b2\u0663\u09ea\u00bd\U0001d7d8"
+fuzz_pieces = st.one_of(
+    st.sampled_from(["x", "z", "adj(z)", "=", ";", ",", "[", "]", "x [",
+                     "(", ")", "+", "-", "/", "i", " ", "char", "{", "}", "box"]),
+    st.text(FUZZ_ALPHABET, max_size=4),
+    st.text("0123456789", min_size=1, max_size=8),
+    st.integers(MAX_LITERAL_DIGITS - 5, MAX_LITERAL_DIGITS + 5).map(lambda k: "9" * k),
+    st.builds("{}{}e{}{}".format, st.integers(0, 99), st.sampled_from(["", ".5"]),
+              st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 15)),
+)
+fuzz_texts = st.lists(fuzz_pieces, max_size=12).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([gl.parse_character, gl.parse_box]),
+       st.sampled_from([line, disk]),
+       st.one_of(fuzz_texts, fuzz_texts.map("x = {}".format),
+                 fuzz_texts.map("z = ({})".format),
+                 st.tuples(fuzz_texts, fuzz_texts).map("x = [{0[0]}, {0[1]}]".format)))
+def test_arbitrary_text_fails_cleanly_and_fast(parse, make_pres, text):
+    pres = make_pres()
+    start = time.perf_counter()
+    try:
+        parse(text, pres)
+    except GelfandError:
+        pass
+    assert time.perf_counter() - start < 2.0
 
 
 def test_round_trip_500_random():

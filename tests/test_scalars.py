@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gelfand_lab import ComplexRational
 from gelfand_lab.errors import AlgebraError
+from gelfand_lab.scalars import sqrt_to_float
 
 from helpers import disk
 
@@ -99,6 +101,22 @@ def test_float_conversion_out_of_range():
     for big in (ComplexRational(10 ** 400), ComplexRational(0, -10 ** 400)):
         with pytest.raises(AlgebraError, match="floating point overflow"):
             complex(big)
+
+
+def test_sqrt_of_exact_square():
+    rng = Random(11)
+    for _ in range(200):
+        q = Fraction(rng.randrange(10 ** rng.randrange(1, 30)), rng.randrange(1, 10 ** 6))
+        assert sqrt_to_float(q) == math.sqrt(float(q))
+    # past the float range only the square: the root is found, never rounded up
+    for q in (Fraction(10 ** 400), Fraction(10 ** 400 + 1, 3), Fraction(2 ** 1100 - 1),
+              Fraction(3 ** 700, 7), Fraction(2) ** 2047):
+        root = sqrt_to_float(q)
+        assert Fraction(root) ** 2 <= q
+        assert root == pytest.approx(math.exp(math.log(q.numerator) / 2
+                                              - math.log(q.denominator) / 2), rel=1e-12)
+    with pytest.raises(AlgebraError, match="floating point overflow"):
+        sqrt_to_float(Fraction(10 ** 700))
 
 
 def test_literals():
