@@ -25,7 +25,7 @@ from .errors import (
     PresentationError,
     RewriteBudgetError,
 )
-from .scalars import ONE, ZERO, ComplexRational, ScalarLike
+from .scalars import ONE, ZERO, ComplexRational, ScalarLike, power
 
 Monomial = tuple[int, ...]
 Terms = tuple[tuple[Monomial, ComplexRational], ...]
@@ -107,6 +107,21 @@ def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) 
     out: RawTable = {}
     raw_add_into(out, ((mono_involute(adjoint, m), c.conjugate()) for m, c in a.items()))
     return out
+
+
+def substitute(terms: Iterable[tuple[Monomial, object]], values: Sequence,
+               total):
+    """total + sum of c * prod(values[i] ** e_i) over the (monomial, c) pairs.
+
+    The one evaluation loop: a character's transform, a morphism's image and
+    the coefficient bound each extend a generator assignment this way.
+    """
+    for mono, c in terms:
+        for i, e in enumerate(mono):
+            if e:
+                c = c * values[i] ** e
+        total = total + c
+    return total
 
 
 def sort_terms(table: Mapping[Monomial, ComplexRational]) -> Terms:
@@ -519,15 +534,7 @@ class StarPoly:
     def __pow__(self, n: int) -> "StarPoly":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("polynomial exponent must be a nonnegative integer")
-        result = self.pres.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, self.pres.one())
 
     def involute(self) -> "StarPoly":
         """The image under the involution; rejects algebra-mode elements."""
@@ -596,8 +603,7 @@ class Morphism:
                 raise MorphismError("generator image lives over the wrong presentation")
         morphism = cls(source, target, ordered, star)
         for k, rel in enumerate(source.relations):
-            value = morphism._apply_table(dict(rel))
-            if not value.is_zero():
+            if not substitute(rel, ordered, target.zero()).is_zero():
                 raise MorphismError(
                     f"generator assignment does not kill relation {k}")
         if star:
@@ -610,20 +616,10 @@ class Morphism:
     def image(self, which: Union[int, str]) -> StarPoly:
         return self.images[self.source.generator_index(which)]
 
-    def _apply_table(self, table: Mapping[Monomial, ComplexRational]) -> StarPoly:
-        total = self.target.zero()
-        for mono, coeff in table.items():
-            factor = self.target.one()
-            for i, e in enumerate(mono):
-                if e:
-                    factor = factor * (self.images[i] ** e)
-            total = total + factor * coeff
-        return total
-
     def apply(self, a: StarPoly) -> StarPoly:
         if a.pres != self.source:
             raise AlgebraError("element does not live over the morphism source")
-        return self._apply_table(a.as_table())
+        return substitute(a.terms, self.images, self.target.zero())
 
     def __call__(self, a: StarPoly) -> StarPoly:
         return self.apply(a)

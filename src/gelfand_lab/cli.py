@@ -34,7 +34,7 @@ from .errors import CharacterError, GelfandError, GnsError
 from .parsing import (format_character, format_poly, format_terms, parse_box,
                       parse_character, parse_morphism, parse_poly,
                       parse_presentation, parse_state)
-from .scalars import ComplexRational
+from .scalars import ComplexRational, rational_literal
 from .spectrum import Character, CompactBox, format_value
 
 SCHEMA = "gelfand-lab/1"
@@ -268,7 +268,7 @@ def cmd_seminorm(args) -> tuple[dict, list[str], int]:
     report.update(lower=est.lower, upper=est.upper, exact=est.exact,
                   resolution=est.resolution)
     if est.upper_exact is not None:
-        report["upper_exact"] = str(est.upper_exact)
+        report["upper_exact"] = rational_literal(est.upper_exact)
     lines = [f"seminorm in [{_fmt_float(est.lower)}, {_fmt_float(est.upper)}]"
              f" (grid resolution {est.resolution},"
              f" certified upper {'exact' if est.exact else 'float'})"]
@@ -397,7 +397,7 @@ def _pres_arg(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
 
 
 def _tol_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=1e-12,
+    p.add_argument("--tolerance", type=float, default=spectrum.FLOAT_TOLERANCE,
                    help="floating comparison tolerance (default %(default)s)")
 
 

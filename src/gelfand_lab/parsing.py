@@ -39,19 +39,21 @@ keyword is always ``algebra``.  Floating point literals are rejected inside
 polynomials, relations and state weights but accepted in character values,
 support points and interval bounds, where numeric data is expected.  Every
 number token converts once, in the tokenizer, to its exact value; a literal
-whose digits plus exponent magnitude exceed MAX_LITERAL_DIGITS is an error.
+whose digits plus exponent magnitude exceed the interpreter's int(str) digit
+limit (MAX_LITERAL_DIGITS when it sets none) is an error.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import algebra, spectrum, states
 from .algebra import MODE_ALGEBRA, MODE_STAR, Monomial, RawTable, StarPoly, StarPresentation
 from .errors import AlgebraError, ParseError
-from .scalars import ComplexRational
+from .scalars import ComplexRational, rational_literal
 
 Value = Union[ComplexRational, complex]
 
@@ -59,8 +61,9 @@ _PUNCT = set(";,:^*+-()={}[]/")
 _NUMBER = re.compile(r"([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?")
 _STRING = re.compile(r'"[^"\n]*"')
 
-# Python's own cap on int(str) digits.  It bounds a literal's digits plus its
-# exponent magnitude, and so the size of the literal's exact value.
+# A literal's digits plus its exponent magnitude, and so the size of its
+# exact value, are capped by the interpreter's int(str) digit limit, read at
+# tokenize time.  This default stands in where the interpreter has none.
 MAX_LITERAL_DIGITS = 4300
 
 # Each level of ( ) or adj( ) costs about five interpreter frames; this
@@ -81,19 +84,20 @@ class Token(NamedTuple):
 def number_token(number: re.Match, line: int, col: int) -> Token:
     """The nat or float token of a _NUMBER match, with its exact value.
 
-    A literal whose digits plus exponent magnitude exceed MAX_LITERAL_DIGITS
-    is a ParseError, so no literal builds an unbounded power of ten.  A NAT's
+    A literal whose digits plus exponent magnitude exceed the interpreter's
+    int(str) digit limit (MAX_LITERAL_DIGITS when it sets none) is a
+    ParseError, so no literal builds an unbounded power of ten.  A NAT's
     value is an int, a FLOAT's the Fraction of its text (2.5 -> 5/2).
     """
     text = number.group()
     whole, fraction, exponent = number.groups()
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() or MAX_LITERAL_DIGITS
     # testing the length first keeps int(exponent) within int()'s own cap
-    if len(text) > MAX_LITERAL_DIGITS or (len(whole) + len(fraction or "")
-                                          + abs(int(exponent or 0))
-                                          > MAX_LITERAL_DIGITS):
+    if len(text) > cap or (len(whole) + len(fraction or "")
+                           + abs(int(exponent or 0)) > cap):
         shown = text if len(text) <= 40 else f"{text[:20]}...{text[-10:]}"
         raise ParseError(f"numeric literal {shown!r} is too long: its digits plus "
-                         f"exponent exceed {MAX_LITERAL_DIGITS}", line, col)
+                         f"exponent exceed {cap}", line, col)
     if fraction is None and exponent is None:
         return Token("nat", text, line, col, int(text))
     return Token("float", text, line, col, Fraction(text))
@@ -563,7 +567,7 @@ def parse_poly(text: str, pres: StarPresentation) -> StarPoly:
 
 
 def parse_character(text: str, pres: StarPresentation,
-                    tolerance: float = 1e-12) -> spectrum.Character:
+                    tolerance: float = spectrum.FLOAT_TOLERANCE) -> spectrum.Character:
     parser = Parser(tokenize(text))
     char = parser.character(pres, tolerance)
     parser.expect_done()
@@ -613,7 +617,7 @@ def format_terms(pres: StarPresentation, terms) -> str:
         if mono == unit:
             if coeff.is_real():
                 negative = coeff.re < 0
-                body = str(abs(coeff.re))
+                body = rational_literal(abs(coeff.re))
             else:
                 negative = False
                 body = coeff.literal()
@@ -622,7 +626,7 @@ def format_terms(pres: StarPresentation, terms) -> str:
             if coeff.is_real():
                 negative = coeff.re < 0
                 mag = abs(coeff.re)
-                body = monomial if mag == 1 else f"{mag}*{monomial}"
+                body = monomial if mag == 1 else f"{rational_literal(mag)}*{monomial}"
             else:
                 negative = False
                 body = f"{coeff.literal()}*{monomial}"

@@ -9,10 +9,11 @@ values, quadrature, matrix factorizations).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
-from .errors import AlgebraError
+from .errors import AlgebraError, UnsupportedError
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "ComplexRational"]
@@ -42,6 +43,30 @@ def sqrt_to_float(q: RationalLike) -> float:
         root = math.isqrt(math.floor(q))
         value = to_float(root)
         return value if int(value) <= root else math.nextafter(value, 0.0)
+
+
+def power(base, n: int, one):
+    """base**n for an int n >= 0 by square-and-multiply, starting from one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def rational_literal(q: RationalLike) -> str:
+    """``str(q)``, or UnsupportedError when q has more digits than the
+    interpreter converts to text (``sys.get_int_max_str_digits()``)."""
+    try:
+        return str(q)
+    except ValueError:
+        raise UnsupportedError(
+            f"exact value too long to print: it has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            f"for integer string conversion") from None
 
 
 class ComplexRational:
@@ -109,15 +134,7 @@ class ComplexRational:
     def __pow__(self, n: int) -> "ComplexRational":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, ONE)
 
     def __neg__(self) -> "ComplexRational":
         return ComplexRational(-self.re, -self.im)
@@ -161,10 +178,11 @@ class ComplexRational:
 
     def literal(self) -> str:
         """Canonical source spelling: "3", "-1/2", or "(a+bi)"."""
+        re = rational_literal(self.re)
         if self.im == 0:
-            return str(self.re)
+            return re
         sign = "+" if self.im >= 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        return f"({re}{sign}{rational_literal(abs(self.im))}i)"
 
     def __repr__(self) -> str:
         return f"ComplexRational({self.re!r}, {self.im!r})"

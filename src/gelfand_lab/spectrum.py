@@ -59,30 +59,15 @@ class Character:
     def value(self, which: Union[int, str]) -> Value:
         return self.values[self.pres.generator_index(which)]
 
-    def as_assignment(self) -> dict[str, Value]:
-        return dict(zip(self.pres.generators, self.values))
-
 
 def _eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
     if exact:
-        total: Value = ComplexRational(0)
-        for mono, coeff in terms:
-            acc = coeff
-            for i, e in enumerate(mono):
-                if e:
-                    acc = acc * (values[i] ** e)
-            total = total + acc
-        return total
-    total_f = 0j
+        return algebra.substitute(terms, values, ComplexRational(0))
     try:
-        for mono, coeff in terms:
-            acc_f = complex(coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    acc_f *= values[i] ** e
-            total_f += acc_f
-        if cmath.isfinite(total_f):
-            return total_f
+        total = algebra.substitute(((m, complex(c)) for m, c in terms),
+                                   values, 0j)
+        if cmath.isfinite(total):
+            return total
     except OverflowError:
         pass
     raise AlgebraError(FLOAT_OVERFLOW)
@@ -382,14 +367,8 @@ def coefficient_bound(a: StarPoly, box: CompactBox) -> Fraction:
     if a.pres != box.pres:
         raise AlgebraError("element and box live over different presentations")
     gen_bounds = [box.modulus_bound(i) for i in range(len(a.pres.generators))]
-    total = Fraction(0)
-    for mono, coeff in a.terms:
-        piece = coeff.one_norm()
-        for i, e in enumerate(mono):
-            if e:
-                piece *= gen_bounds[i] ** e
-        total += piece
-    return total
+    return algebra.substitute(((m, c.one_norm()) for m, c in a.terms),
+                              gen_bounds, Fraction(0))
 
 
 @dataclass(frozen=True)

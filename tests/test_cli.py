@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -13,13 +14,15 @@ NIL = "algebra Nil ;\ngenerator x : selfadjoint ;\nrelation x^2 ;\n"
 PLANE = "algebra Plane ;\ngenerator x, y : selfadjoint ;\n"
 BIG = "1" + "0" * 400
 HUGE = "1" * 5000  # past the 4300-digit literal cap
+LONG = "7" * 3000  # a literal whose square is past the 4300-digit print limit
+SQUARE = f"algebra Sq ;\ngenerator x : selfadjoint ;\nrelation x - ({LONG})^2 ;\n"
 
 
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
     for name, text in (("line", LINE), ("disk", DISK), ("nil", NIL),
-                       ("plane", PLANE)):
+                       ("plane", PLANE), ("square", SQUARE)):
         f = tmp_path / f"{name}.star"
         f.write_text(text, encoding="utf-8")
         paths[name] = str(f)
@@ -186,6 +189,10 @@ def test_approx_epsilon_search(capsys):
     ["eval", "line", "--poly", "x", "--char", "x=1e99999999999"],
     ["eval", "line", "--poly", "x", "--char", "x=1.5e-99999999999"],
     ["seminorm", "line", "--poly", "x", "--box", "x = [0, 1e-99999999999]"],
+    ["eval", "line", "--poly", "x^2", "--char", f"x={LONG}"],
+    ["eval", "line", "--poly", "x^2", "--char", f"x={LONG}", "--json"],
+    ["parse", "square"],
+    ["seminorm", "line", "--poly", "x^2", "--box", f"x = [0, 1/{LONG}]"],
 ], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
         "complex-overflow", "int-beside-float", "int-beside-float-support",
         "uniform-zero-volume", "float-power-overflow", "samples-zero",
@@ -193,7 +200,8 @@ def test_approx_epsilon_search(capsys):
         "gns-operator-overflow", "radical-power-overflow",
         "radical-box-overflow", "unicode-digit-exponent", "huge-literal",
         "huge-exponent", "huge-float-exponent", "huge-negative-exponent",
-        "huge-box-exponent"])
+        "huge-box-exponent", "long-exact-value", "long-exact-value-json",
+        "long-relation-coefficient", "long-upper-exact"])
 def test_bad_numbers_exit_one_without_traceback(files, argv):
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
@@ -202,6 +210,22 @@ def test_bad_numbers_exit_one_without_traceback(files, argv):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+
+
+@pytest.mark.parametrize("digits, code", [(700, 1), (600, 0)])
+def test_literal_cap_follows_lowered_interpreter_limit(files, digits, code):
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", "eval",
+                           files["line"], "--poly", "x", "--char",
+                           "x=" + "7" * digits],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert "error:" in proc.stderr and "too long" in proc.stderr
+        assert "exceed 640" in proc.stderr
+    else:
+        assert proc.stdout == f"value: {'7' * digits}\n"
 
 
 @pytest.mark.parametrize("command", ["seminorm", "nilpotent"])

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -7,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gelfand_lab import ComplexRational
-from gelfand_lab.errors import AlgebraError
-from gelfand_lab.scalars import sqrt_to_float
+from gelfand_lab.errors import AlgebraError, UnsupportedError
+from gelfand_lab.scalars import rational_literal, sqrt_to_float
 
 from helpers import disk
 
@@ -124,6 +125,18 @@ def test_literals():
     assert ComplexRational(Fraction(-1, 2)).literal() == "-1/2"
     assert ComplexRational(1, 2).literal() == "(1+2i)"
     assert ComplexRational(0, Fraction(-1, 2)).literal() == "(0-1/2i)"
+
+
+def test_literal_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    at_limit = Fraction(1, 10 ** (limit - 1))
+    assert rational_literal(at_limit) == str(at_limit)
+    past = ComplexRational(1, Fraction(1, 10 ** limit))
+    message = f"too long to print: it has more than {limit} digits"
+    with pytest.raises(UnsupportedError, match=message):
+        past.literal()
+    with pytest.raises(UnsupportedError, match=message):
+        rational_literal(-(10 ** limit))
 
 
 def test_equality_with_numbers_and_hash():
