@@ -18,6 +18,8 @@ arithmetic, so null vectors like x^2 - 1 come out exactly.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
@@ -26,14 +28,18 @@ import numpy as np
 
 from . import spectrum
 from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
-from .errors import GnsError, StateError
-from .scalars import ONE, ComplexRational, to_float
+from .errors import AlgebraError, GnsError, StateError, UnsupportedError
+from .scalars import FLOAT_OVERFLOW, ONE, ComplexRational, to_float
 from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
 
 Value = Union[ComplexRational, complex]
 
 PSD_TOLERANCE = 1e-10
 NULL_THRESHOLD = 1e-9
+# Largest GNS basis, checked against C(degree + k, k), the number of
+# monomials of degree <= degree on k generators.  At the cap, `gns` of the
+# Gaussian state on the line (degree 159) ends in about 3 s on a 2-vCPU VM.
+MAX_GNS_BASIS = 160
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +310,11 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
     if degree < 0:
         raise GnsError("degree must be nonnegative")
     pres = state.pres
+    k = len(pres.generators)
+    if math.comb(degree + k, k) > MAX_GNS_BASIS:
+        raise UnsupportedError(
+            f"GNS basis too large: C(degree + k, k) = C({degree} + {k}, {k}) "
+            f"monomials exceed the cap of {MAX_GNS_BASIS}")
     basis = tuple(pres.monomials_up_to(degree))
     n = len(basis)
     moments: dict[Monomial, Value] = {}
@@ -331,35 +342,69 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
 
 
 def _gns_exact(model: GnsModel) -> GnsModel:
-    basis = model.basis
-    n = len(basis)
     gram = model.gram
-    # The Gram matrix is Hermitian and the kept vectors u are G-orthogonal,
-    # so <u, G v> = conj((G u)[j]) for the current v = e_j - (projections),
-    # and the squared length <v, G v> is (G v)[j].
-    ortho: list[tuple[list[ComplexRational], list[ComplexRational], Fraction]] = []
+    n = len(model.basis)
+    # scale * G is a matrix of Gaussian integers, one int table per part.
+    scale = math.lcm(*(q.denominator for row in gram for z in row
+                       for q in (z.re, z.im)))
+    g_re = [[z.re.numerator * (scale // z.re.denominator) for z in row]
+            for row in gram]
+    g_im = [[z.im.numerator * (scale // z.im.denominator) for z in row]
+            for row in gram]
+    # The current vector v and its image scale * G v are held as one list
+    # of 2n Gaussian-integer numerators (re and im parts) over a positive
+    # den.  G is Hermitian and the kept vectors u are G-orthogonal, so the
+    # projection coefficient of v on u is conj((G u)[j]) / (G u)[slot of u],
+    # here conj(u[n + j]) / pivot, and the squared length of v is v[n + j].
+    ortho: list[tuple[list[int], list[int], int, int]] = []
     null: list[tuple[ComplexRational, ...]] = []
     for j in range(n):
-        v = [ComplexRational(1) if i == j else ComplexRational(0) for i in range(n)]
-        gv = [gram[i][j] for i in range(n)]
-        for u, gu, n2 in ortho:
-            c = gu[j].conjugate() / n2
-            if not c.is_zero():
-                v = [vi - c * ui for vi, ui in zip(v, u)]
-                gv = [gvi - c * gui for gvi, gui in zip(gv, gu)]
-        norm2 = gv[j]
-        if not norm2.is_real():
+        v_re = [int(i == j) for i in range(n)] + [row[j] for row in g_re]
+        v_im = [0] * n + [row[j] for row in g_im]
+        den = 1
+        for u_re, u_im, u_den, pivot in ortho:
+            c_re, c_im = u_re[n + j], -u_im[n + j]
+            if not (c_re or c_im):
+                continue
+            # v - c u over the denominator lcm(den, pivot * u_den)
+            u_scale = pivot * u_den
+            g = math.gcd(den, u_scale)
+            keep, take = u_scale // g, den // g
+            t_re, t_im = take * c_re, take * c_im
+            den *= keep
+            v_re, v_im = (
+                [keep * x - t_re * y + t_im * z for x, y, z in zip(v_re, u_re, u_im)],
+                [keep * x - t_re * z - t_im * y for x, y, z in zip(v_im, u_re, u_im)])
+            g = math.gcd(den, *v_re, *v_im)
+            if g > 1:
+                den //= g
+                v_re = [x // g for x in v_re]
+                v_im = [x // g for x in v_im]
+        if v_im[n + j]:
             raise GnsError("Gram pairing produced a non-real squared length")
-        if norm2.re < 0:
+        pivot = v_re[n + j]
+        if pivot < 0:
             raise GnsError("Gram matrix is not positive semidefinite: "
-                           f"squared length {norm2.re} at basis slot {j}")
-        if norm2.re == 0:
-            null.append(tuple(v))
+                           f"squared length {Fraction(pivot, den * scale)} "
+                           f"at basis slot {j}")
+        if pivot == 0:
+            null.append(tuple(ComplexRational(Fraction(x, den), Fraction(y, den))
+                              for x, y in zip(v_re[:n], v_im[:n])))
         else:
-            ortho.append((v, gv, norm2.re))
-    orthonormal = tuple(
-        tuple(complex(c) / to_float(n2) ** 0.5 for c in v) for v, _, n2 in ortho)
-    return replace(model, null_space=tuple(null), orthonormal=orthonormal)
+            ortho.append((v_re, v_im, den, pivot))
+    orthonormal = []
+    for u_re, u_im, u_den, pivot in ortho:
+        length = to_float(Fraction(pivot, u_den * scale)) ** 0.5
+        if not length:
+            raise AlgebraError("floating point underflow: a squared length "
+                               "of the GNS basis is below the float range")
+        row = tuple(complex(to_float(Fraction(x, u_den)),
+                            to_float(Fraction(y, u_den))) / length
+                    for x, y in zip(u_re[:n], u_im[:n]))
+        if not all(map(cmath.isfinite, row)):
+            raise AlgebraError(FLOAT_OVERFLOW)
+        orthonormal.append(row)
+    return replace(model, null_space=tuple(null), orthonormal=tuple(orthonormal))
 
 
 def _gns_float(model: GnsModel) -> GnsModel:

@@ -15,6 +15,7 @@ PLANE = "algebra Plane ;\ngenerator x, y : selfadjoint ;\n"
 BIG = "1" + "0" * 400
 HUGE = "1" * 5000  # past the 4300-digit literal cap
 LONG = "7" * 3000  # a literal whose square is past the 4300-digit print limit
+TINY = "1/1" + "0" * 200  # exact, and its square is below the float range
 SQUARE = f"algebra Sq ;\ngenerator x : selfadjoint ;\nrelation x - ({LONG})^2 ;\n"
 
 
@@ -193,6 +194,8 @@ def test_approx_epsilon_search(capsys):
     ["eval", "line", "--poly", "x^2", "--char", f"x={LONG}", "--json"],
     ["parse", "square"],
     ["seminorm", "line", "--poly", "x^2", "--box", f"x = [0, 1/{LONG}]"],
+    ["gns", "line", "--degree", "1",
+     "--state", f"state atomic {{ (x = 0) : 1/2 ; (x = {TINY}) : 1/2 }}"],
 ], ids=["approx-res0", "approx-res-neg", "approx-epsilon-res1", "float-overflow",
         "complex-overflow", "int-beside-float", "int-beside-float-support",
         "uniform-zero-volume", "float-power-overflow", "samples-zero",
@@ -201,7 +204,8 @@ def test_approx_epsilon_search(capsys):
         "radical-box-overflow", "unicode-digit-exponent", "huge-literal",
         "huge-exponent", "huge-float-exponent", "huge-negative-exponent",
         "huge-box-exponent", "long-exact-value", "long-exact-value-json",
-        "long-relation-coefficient", "long-upper-exact"])
+        "long-relation-coefficient", "long-upper-exact",
+        "gns-length-underflow"])
 def test_bad_numbers_exit_one_without_traceback(files, argv):
     argv = [files.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
@@ -210,6 +214,19 @@ def test_bad_numbers_exit_one_without_traceback(files, argv):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["gns", "state-check"])
+def test_gns_basis_cap_exits_one_at_once(files, command):
+    # 3001 basis monomials is past the cap; before it this ran for minutes
+    proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", command,
+                           files["line"], "--state", "gaussian",
+                           "--degree", "3000"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert "GNS basis too large" in proc.stderr
+    assert "exceed the cap of" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("digits, code", [(700, 1), (600, 0)])

@@ -548,13 +548,86 @@ def _random_atomic(rng):
     return gl.atomic_state(pres, atoms), degree
 
 
+def _random_disk_atomic(rng):
+    """Complex atoms on the disk, some repeated, at degree up to 3."""
+    points = [rand_scalar(rng, span=3) for _ in range(rng.randint(1, 3))]
+    count = rng.randint(len(points) + 1, 6)
+    atoms = [({"z": points[k % len(points)]}, Fraction(1, count))
+             for k in range(count)]
+    return gl.atomic_state(disk(), atoms), rng.randint(1, 3)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_gns_exact_matches_inner_product_reference(seed):
     rng = Random(seed)
+    case = sorted(MOMENT_CASES)[seed % len(MOMENT_CASES)]
+    build, case_degree = MOMENT_CASES[case]
     cases = [_random_atomic(rng), _random_atomic(rng),
-             (gl.gaussian_state(line()), rng.randint(0, 10))]
+             (gl.gaussian_state(line()), rng.randint(0, 10)),
+             (gl.gaussian_state(line()), 40 - 3 * seed),
+             _random_disk_atomic(rng), (build(True), case_degree + seed % 2)]
     for state, degree in cases:
         model = gl.gns_basis(gl.gram_matrix(state, degree))
         null, orthonormal = reference_gns_exact(model.gram)
         assert model.null_space == null
         assert model.orthonormal == orthonormal
+
+
+def _hand_built(gram):
+    """An exact model over the line whose Gram matrix is given as is."""
+    size = len(gram)
+    st = gl.gaussian_state(line())
+    gram = tuple(tuple(ComplexRational(*entry) for entry in row) for row in gram)
+    return gl.GnsModel(st, size - 1, tuple((d,) for d in range(size)), gram, True)
+
+
+@pytest.mark.parametrize("gram, value", [
+    ([[(1,), (2,)], [(2,), (1,)]], "-3"),
+    ([[(Fraction(1, 2),), (1,)], [(1,), (Fraction(1, 3),)]], "-5/3"),
+    ([[(2,), (0, 1), (0,)], [(0, -1), (Fraction(1, 3),), (0,)],
+      [(0,), (0,), (1,)]], "-1/6"),
+], ids=["integer", "rational", "complex"])
+def test_gns_exact_rejects_indefinite_gram(gram, value):
+    with pytest.raises(GnsError, match=r"^Gram matrix is not positive "
+                       rf"semidefinite: squared length {value} at basis slot 1$"):
+        gl.gns_basis(_hand_built(gram))
+
+
+@pytest.mark.parametrize("gram", [
+    [[(1, 1)]],
+    [[(Fraction(1, 2),), (0,)], [(0,), (Fraction(1, 3), Fraction(1, 5))]],
+], ids=["first", "second"])
+def test_gns_exact_rejects_non_real_pivot(gram):
+    with pytest.raises(GnsError, match="non-real squared length"):
+        gl.gns_basis(_hand_built(gram))
+
+
+def test_gns_exact_squared_length_below_float_range():
+    # the variance 10^-400 / 4 of the two atoms is exact but underflows
+    state = gl.atomic_state(line(), [
+        ({"x": _q(0)}, Fraction(1, 2)),
+        ({"x": _q(Fraction(1, 10 ** 200))}, Fraction(1, 2))])
+    with pytest.raises(AlgebraError, match="underflow"):
+        gl.gns_basis(gl.gram_matrix(state, 1))
+
+
+def test_gns_exact_orthonormal_coefficient_past_float_range():
+    # x - mean over a standard deviation of 10^-120 / 2: about 2e320
+    state = gl.atomic_state(line(), [
+        ({"x": _q(10 ** 200)}, Fraction(1, 2)),
+        ({"x": _q(10 ** 200 + Fraction(1, 10 ** 120))}, Fraction(1, 2))])
+    with pytest.raises(AlgebraError, match="overflow"):
+        gl.gns_basis(gl.gram_matrix(state, 1))
+
+
+def test_gns_basis_cap(monkeypatch):
+    monkeypatch.setattr(gl.states, "MAX_GNS_BASIS", 10)
+    st = gl.gaussian_state(line())
+    assert len(gl.gram_matrix(st, 9).basis) == 10
+    with pytest.raises(gl.UnsupportedError, match=r"C\(10 \+ 1, 1\)"):
+        gl.gram_matrix(st, 10)
+    # C(3 + 2, 2) = 10 bounds the disk at degree 3, C(4 + 2, 2) = 15 does not
+    atomic = gl.atomic_state(disk(), [({"z": _q(1, 1)}, 1)])
+    assert len(gl.gram_matrix(atomic, 3).basis) == 10
+    with pytest.raises(gl.UnsupportedError, match="exceed the cap of 10"):
+        gl.gram_matrix(atomic, 4)
