@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     AlgebraError,
@@ -307,33 +307,23 @@ class StarPresentation:
 
     def _check_confluence(self) -> None:
         rules = self._rules
-        if len(rules) < 2:
-            return
-        cp_degree_bound = 2 * max(
-            max(mono_degree(m) for m, _ in rel) for rel in self.relations)
         for i in range(len(rules)):
             for j in range(i + 1, len(rules)):
                 ri, rj = rules[i], rules[j]
                 lcm = mono_lcm(ri.lead, rj.lead)
                 if lcm == mono_mul(ri.lead, rj.lead):
                     continue  # coprime leads: the pair resolves trivially
-                if mono_degree(lcm) > cp_degree_bound:
-                    continue
                 s_poly: RawTable = {}
-                shift_i = mono_quotient(lcm, ri.lead)
-                shift_j = mono_quotient(lcm, rj.lead)
-                rel_i = ((ri.lead, ri.coeff),) + ri.tail
-                rel_j = ((rj.lead, rj.coeff),) + rj.tail
-                raw_add_into(s_poly, ((mono_mul(m, shift_i), c) for m, c in rel_i),
-                             scale=ONE / ri.coeff)
-                raw_add_into(s_poly, ((mono_mul(m, shift_j), c) for m, c in rel_j),
-                             scale=-(ONE / rj.coeff))
+                for rule, scale in ((ri, ONE / ri.coeff), (rj, -(ONE / rj.coeff))):
+                    shift = mono_quotient(lcm, rule.lead)
+                    raw_add_into(s_poly, ((mono_mul(m, shift), c)
+                                          for m, c in self.relations[rule.index]),
+                                 scale=scale)
                 reduced, _ = normalize_table(rules, s_poly, self.budget)
                 if reduced:
                     raise PresentationError(
-                        f"relations {i} and {j} are not confluent up to "
-                        f"degree {cp_degree_bound}: unresolved overlap at "
-                        f"{lcm}")
+                        f"relations {i} and {j} are not confluent: "
+                        f"unresolved overlap at {lcm}")
 
     # ---- structural identity ----
 

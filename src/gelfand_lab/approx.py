@@ -70,11 +70,8 @@ class TargetFunction:
     exact_fn: Callable[[tuple[Fraction, ...]], Union[Fraction, ComplexRational]] | None = None
 
 
-def catalog_target(name: str, dim: int = 1) -> TargetFunction:
-    """Built-in targets: "square", "abs-shift", "exp" (all univariate)."""
-    if dim != 1:
-        raise UnsupportedError("catalog targets are univariate; build a "
-                               "TargetFunction directly for higher dimension")
+def catalog_target(name: str) -> TargetFunction:
+    """Built-in univariate targets: "square", "abs-shift", "exp"."""
     if name == "square":
         return TargetFunction("square", 1, lambda t: t[0] * t[0],
                               exact_fn=lambda t: t[0] * t[0])
@@ -113,25 +110,24 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     if a.is_zero():
         return Fraction(0)
     pres = a.pres
-    steps = [(hi - lo) / (resolution - 1) for lo, hi in box.intervals]
-    den = math.lcm(*(q.denominator for (lo, _), step in zip(box.intervals, steps)
-                     for q in (lo, step)))
-    by_gen: dict[int, list[list[int]]] = {}
-    for (gi, _), (lo, _), step in zip(spectrum.axis_layout(pres), box.intervals, steps):
-        x0, dx = int(lo * den), int(step * den)
-        by_gen.setdefault(gi, []).append([x0 + k * dx for k in range(resolution)])
+    den = math.lcm(*(q.denominator for lo, hi in box.intervals
+                     for q in (lo, (hi - lo) / (resolution - 1))))
 
     # One group per axis generator.  At each of its grid values v (the
     # adjoint partner takes conj(v)) every distinct factor v^p * conj(v)^q
     # of the terms is tabulated once; ``partials`` lists those (p, q), or
     # (p,) for a generator without a distinct partner.
     groups = []
-    for gi, coords in by_gen.items():
+    for gi, spans in box.by_generator():
         partner = pres.adjoint[gi]
         slots = (gi,) if partner is None or partner == gi else (gi, partner)
         partials = sorted({tuple(m[i] for i in slots) for m, _ in a.terms})
         if partials == [(0,) * len(slots)]:
             continue  # the transform is constant along these axes
+        coords = []
+        for lo, hi in spans:
+            x0, dx = int(lo * den), int((hi - lo) / (resolution - 1) * den)
+            coords.append([x0 + k * dx for k in range(resolution)])
         groups.append((slots, partials, coords))
 
     deg = a.degree()
@@ -381,21 +377,20 @@ def density_witness(f: TargetFunction, epsilon: float,
 def _resolve_pair(pres: StarPresentation, pair: Union[int, str, None]) -> tuple[int, int]:
     if not pres.is_star:
         raise AlgebraError("Wirtinger derivatives need a *-presentation")
+    pairs = {gi: pres.adjoint[gi] for gi, n in spectrum.axis_layout(pres) if n == 2}
     if pair is None:
-        reps = [i for i in range(len(pres.generators))
-                if pres.adjoint[i] not in (None, i) and pres.adjoint[i] > i]
-        if len(reps) != 1:
+        if len(pairs) != 1:
             raise AlgebraError("presentation does not have a unique free pair; "
                                "name the generator explicitly")
-        idx = reps[0]
+        idx = next(iter(pairs))
     else:
         idx = pres.generator_index(pair)
-    partner = pres.adjoint[idx]
-    if partner is None or partner == idx:
-        raise AlgebraError("Wirtinger derivative needs a free generator with a "
-                           "distinct adjoint partner")
-    if partner < idx:
-        idx, partner = partner, idx
+        if idx not in pairs:
+            idx = pres.adjoint[idx]  # the partner names its pair too
+        if idx not in pairs:
+            raise AlgebraError("Wirtinger derivative needs a free generator "
+                               "with a distinct adjoint partner")
+    partner = pairs[idx]
     for rel in pres.relations:
         for mono, _ in rel:
             if mono[idx] or mono[partner]:

@@ -63,31 +63,28 @@ def read_input(path: str) -> str:
 
 
 def canonical_presentation(pres: StarPresentation) -> str:
+    """The presentation as grammar text, one line per generator of
+    ``axis_layout`` (a free generator's partner is implied).
+
+    The echo re-parses, in ``pres.mode``, to an equal presentation for
+    every presentation a command reads from text.  The results of ``free``
+    and ``underlying`` are reported with ``describe()`` instead: their
+    names ``free(P)`` and ``underlying(P)`` and a declared generator
+    ``adj(z)`` are outside the grammar.
+    """
     lines = [f"algebra {pres.name} ;"]
-    for i, name in enumerate(pres.generators):
-        a = pres.adjoint[i]
-        if a is not None and a < i:
-            continue  # partner slot, implied by its representative
-        kind = "selfadjoint" if a == i else "free"
-        lines.append(f"generator {name} : {kind} ;")
+    for gi, n in spectrum.axis_layout(pres):
+        kind = "selfadjoint" if n == 1 else "free"
+        lines.append(f"generator {pres.generators[gi]} : {kind} ;")
     for rel in pres.relations:
         lines.append(f"relation {format_terms(pres, rel)} ;")
     return "\n".join(lines)
 
 
 def canonical_box(box: CompactBox) -> str:
-    axes = spectrum.axis_layout(box.pres)
-    parts = []
-    pos = 0
-    while pos < len(axes):
-        gi = axes[pos][0]
-        count = 1
-        while pos + count < len(axes) and axes[pos + count][0] == gi:
-            count += 1
-        spans = " x ".join(f"[{lo}, {hi}]"
-                           for lo, hi in box.intervals[pos:pos + count])
-        parts.append(f"{box.pres.generators[gi]} = {spans}")
-        pos += count
+    parts = [f"{box.pres.generators[gi]} = "
+             + " x ".join(f"[{lo}, {hi}]" for lo, hi in spans)
+             for gi, spans in box.by_generator()]
     return "box { " + " ; ".join(parts) + " }"
 
 
@@ -276,7 +273,7 @@ def cmd_seminorm(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_approx(args) -> tuple[dict, list[str], int]:
-    target = approx.catalog_target(args.target, dim=args.dim)
+    target = approx.catalog_target(args.target)
     echo = {"target": target.name, "dim": str(target.dim)}
     report = base_report("approx", echo)
     report.update(target=target.name, dim=target.dim)
@@ -358,9 +355,8 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
         degree=args.degree, basis=basis_polys, gram=matrix_json(model.gram),
         rank=model.rank(), null_space=null_section,
         orthonormal=matrix_json(model.orthonormal))
-    ops = args.op if args.op else [
-        pres.generators[i] for i in range(len(pres.generators))
-        if pres.adjoint[i] is None or pres.adjoint[i] >= i]
+    ops = args.op or [pres.generators[gi]
+                      for gi, _ in spectrum.axis_layout(pres)]
     operators = {}
     lines = [f"basis ({len(model.basis)}): " + ", ".join(basis_polys),
              f"rank {model.rank()}, null dimension {len(model.null_space)}"]
@@ -479,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Bernstein approximation of a catalog target")
     p.add_argument("--target", required=True,
                    help="catalog name: square, abs-shift, exp")
-    p.add_argument("--dim", type=int, default=1,
-                   help="coordinate dimension (default %(default)s)")
     p.add_argument("--degree", type=int, help="fixed Bernstein degree")
     p.add_argument("--epsilon", type=float,
                    help="search for the least doubling degree within "

@@ -17,12 +17,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from . import algebra
-from .algebra import Monomial, Morphism, StarPoly, StarPresentation
+from .algebra import Morphism, StarPoly, StarPresentation
 from .errors import AlgebraError, CharacterError, UnsupportedError
 from .scalars import FLOAT_OVERFLOW, ComplexRational, sqrt_to_float, to_float
 
@@ -230,42 +230,38 @@ def restrict_character_free(pres: StarPresentation, q: Character) -> Character:
 # compact pieces of the spectrum
 # ---------------------------------------------------------------------------
 
-def axis_layout(pres: StarPresentation) -> list[tuple[int, str]]:
-    """Real coordinates of a character: (generator index, role) per axis.
+def axis_layout(pres: StarPresentation) -> list[tuple[int, int]]:
+    """The independent generators of a character, each with its axis count.
 
-    Role "val" is the value of a self-adjoint generator; "re"/"im" split the
-    value of a free or unpaired generator.  Adjoint partners contribute no
-    axes; their values are determined by conjugation.
+    A character is fixed by its values on these generators.  A self-adjoint
+    generator has 1 real axis, its value; a free or plain generator has 2,
+    the real and imaginary parts of its value.  Adjoint partners have none:
+    they take the conjugate value.  Box intervals, grid and sampler points
+    and quadrature nodes list their coordinates in this order.
     """
-    axes: list[tuple[int, str]] = []
-    for i in range(len(pres.generators)):
-        a = pres.adjoint[i]
-        if a is None:
-            axes.extend([(i, "re"), (i, "im")])
-        elif a == i:
-            axes.append((i, "val"))
-        elif a > i:
-            axes.extend([(i, "re"), (i, "im")])
-    return axes
+    layout: list[tuple[int, int]] = []
+    for i, a in enumerate(pres.adjoint):
+        if a == i:
+            layout.append((i, 1))
+        elif a is None or a > i:
+            layout.append((i, 2))
+    return layout
 
 
 def character_from_axes(pres: StarPresentation,
                         point: Sequence[Fraction | float],
                         exact: bool = True) -> Character:
-    axes = axis_layout(pres)
-    if len(point) != len(axes):
-        raise AlgebraError(f"expected {len(axes)} coordinates, got {len(point)}")
-    parts: dict[int, dict[str, Fraction | float]] = {}
-    for (gi, role), v in zip(axes, point):
-        parts.setdefault(gi, {})[role] = v
+    layout = axis_layout(pres)
+    dim = sum(n for _, n in layout)
+    if len(point) != dim:
+        raise AlgebraError(f"expected {dim} coordinates, got {len(point)}")
+    coords = iter(point)
     values: list[Value] = [None] * len(pres.generators)  # type: ignore[list-item]
-    for gi, comp in parts.items():
-        if "val" in comp:
-            v: Value = ComplexRational(comp["val"]) if exact \
-                else complex(float(comp["val"]), 0.0)
-        else:
-            v = ComplexRational(comp["re"], comp["im"]) if exact \
-                else complex(float(comp["re"]), float(comp["im"]))
+    for gi, n in layout:
+        re = next(coords)
+        im = next(coords) if n == 2 else 0
+        v: Value = ComplexRational(re, im) if exact \
+            else complex(float(re), float(im))
         values[gi] = v
         a = pres.adjoint[gi]
         if a is not None and a != gi:
@@ -285,7 +281,7 @@ class CompactBox:
             raise UnsupportedError(
                 "boxes need a relation-free presentation: with relations, "
                 "box points are not all characters")
-        if len(self.intervals) != len(axis_layout(self.pres)):
+        if len(self.intervals) != sum(n for _, n in axis_layout(self.pres)):
             raise AlgebraError("interval count does not match the axis layout")
         for lo, hi in self.intervals:
             if lo > hi:
@@ -301,28 +297,31 @@ class CompactBox:
     def for_generators(cls, pres: StarPresentation,
                        by_gen: Mapping[str, Sequence[tuple[Fraction, Fraction]]],
                        ) -> "CompactBox":
-        axes = axis_layout(pres)
-        needed: dict[int, int] = {}
-        for gi, _ in axes:
-            needed[gi] = needed.get(gi, 0) + 1
+        layout = axis_layout(pres)
         intervals: list[tuple[Fraction, Fraction]] = []
-        used: set[str] = set()
-        for gi, role in axes:
+        for gi, n in layout:
             name = pres.generators[gi]
             if name not in by_gen:
                 raise AlgebraError(f"no box bounds for generator {name!r}")
             given = by_gen[name]
-            if len(given) != needed[gi]:
+            if len(given) != n:
                 raise AlgebraError(
-                    f"generator {name!r} needs {needed[gi]} interval(s), "
+                    f"generator {name!r} needs {n} interval(s), "
                     f"got {len(given)}")
-            used.add(name)
-            intervals.append(given[0] if role in ("val", "re") else given[1])
-        extra = set(by_gen) - used
+            intervals.extend(given)
+        extra = set(by_gen) - {pres.generators[gi] for gi, _ in layout}
         if extra:
             raise AlgebraError(
                 f"box bounds given for non-axis generator {sorted(extra)[0]!r}")
         return cls.from_intervals(pres, intervals)
+
+    def by_generator(self) -> Iterator[
+            tuple[int, tuple[tuple[Fraction, Fraction], ...]]]:
+        """Each generator of ``axis_layout`` with its slice of ``intervals``."""
+        pos = 0
+        for gi, n in axis_layout(self.pres):
+            yield gi, self.intervals[pos:pos + n]
+            pos += n
 
     def dimension(self) -> int:
         return len(self.intervals)
@@ -346,15 +345,9 @@ class CompactBox:
 
     def modulus_bound(self, gen_index: int) -> Fraction:
         """An exact bound for |value of generator| over the box."""
-        axes = axis_layout(self.pres)
-        a = self.pres.adjoint[gen_index]
-        if a is not None and a < gen_index:
-            gen_index = a  # partner shares its representative's bound
-        bound = Fraction(0)
-        for (gi, role), (lo, hi) in zip(axes, self.intervals):
-            if gi == gen_index:
-                bound += max(abs(lo), abs(hi))
-        return bound
+        a = self.pres.adjoint[gen_index]  # a partner shares its bound
+        return sum((max(abs(lo), abs(hi)) for gi, spans in self.by_generator()
+                    if gi in (gen_index, a) for lo, hi in spans), Fraction(0))
 
 
 def coefficient_bound(a: StarPoly, box: CompactBox) -> Fraction:

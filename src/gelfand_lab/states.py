@@ -52,7 +52,6 @@ class State:
     pres: StarPresentation
     exact: bool
     densely_defined: bool
-    support_box: CompactBox | None
     source: str  # canonical state text, read back by parse_state
     functional: Callable[[StarPoly], Value]  # a -> E(a)
 
@@ -60,29 +59,8 @@ class State:
         return expect(self, a)
 
 
-def _axis_coordinates(char: Character) -> list[Fraction]:
-    coords: list[Fraction] = []
-    for gi, role in axis_layout(char.pres):
-        v = char.values[gi]
-        if isinstance(v, ComplexRational):
-            re, im = v.re, v.im
-        else:
-            re, im = Fraction(v.real), Fraction(v.imag)
-        coords.append(im if role == "im" else re)
-    return coords
-
-
-def _bounding_box(pres: StarPresentation,
-                  chars: Sequence[Character]) -> CompactBox | None:
-    if pres.relations:
-        return None  # boxes are only available over relation-free presentations
-    coords = [_axis_coordinates(c) for c in chars]
-    intervals = [(min(col), max(col)) for col in zip(*coords)]
-    return CompactBox.from_intervals(pres, intervals)
-
-
-def _point_state(kind: str, pres: StarPresentation, box: CompactBox | None,
-                 source: str, points: Sequence[Character],
+def _point_state(kind: str, pres: StarPresentation, source: str,
+                 points: Sequence[Character],
                  weights: Sequence[Union[Fraction, float]]) -> State:
     """E(a) = sum of w * a(p) over weighted points; exact when every point is."""
     exact = all(p.exact for p in points)
@@ -95,7 +73,7 @@ def _point_state(kind: str, pres: StarPresentation, box: CompactBox | None,
             total = total + (v if exact else complex(v)) * w
         return total
 
-    return State(kind, pres, exact, False, box, source, functional)
+    return State(kind, pres, exact, False, source, functional)
 
 
 def atomic_state(pres: StarPresentation,
@@ -130,8 +108,7 @@ def atomic_state(pres: StarPresentation,
         parts.append(f"({assigns}) : {w}")
     source = "state atomic { " + " ; ".join(parts) + " }"
     chars, weights = zip(*resolved)
-    return _point_state("atomic", pres, _bounding_box(pres, chars), source,
-                        chars, weights)
+    return _point_state("atomic", pres, source, chars, weights)
 
 
 def quadrature_state(pres: StarPresentation, box: CompactBox,
@@ -187,7 +164,7 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         weights = [w / total for w in weights]
     spans = " x ".join(f"[{lo}, {hi}]" for lo, hi in box.intervals)
     source = f'state density "{name}" on {spans} order {order}'
-    return _point_state("quadrature", pres, box, source, nodes, weights)
+    return _point_state("quadrature", pres, source, nodes, weights)
 
 
 def gaussian_state(pres: StarPresentation, generator: str | None = None) -> State:
@@ -199,16 +176,15 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
     """
     if not pres.is_star:
         raise StateError("states are defined on *-presentations")
+    selfadj = [gi for gi, n in axis_layout(pres) if n == 1]
     if generator is None:
-        selfadj = [i for i in range(len(pres.generators))
-                   if pres.adjoint[i] == i]
         if len(selfadj) != 1:
             raise StateError("name the generator: the presentation does not "
                              "have a unique self-adjoint generator")
         idx = selfadj[0]
     else:
         idx = pres.generator_index(generator)
-        if pres.adjoint[idx] != idx:
+        if idx not in selfadj:
             raise StateError(f"generator {generator!r} is not self-adjoint")
     moments = [Fraction(1), Fraction(0)]
 
@@ -231,7 +207,7 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
             total = total + coeff * moment(mono)
         return total
 
-    return State("analytic", pres, True, True, None,
+    return State("analytic", pres, True, True,
                  f"state gaussian({pres.generators[idx]})", functional)
 
 

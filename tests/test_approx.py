@@ -96,7 +96,7 @@ grid_widths = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 7),
 @st.composite
 def grid_cases(draw):
     pres = GRID_PRESENTATIONS[draw(st.sampled_from(sorted(GRID_PRESENTATIONS)))]()
-    dim = len(gl.axis_layout(pres))
+    dim = sum(n for _, n in gl.axis_layout(pres))
     intervals = [(lo, lo + draw(grid_widths))
                  for lo in draw(st.lists(grid_fractions, min_size=dim, max_size=dim))]
     monos = st.tuples(*[st.integers(0, 3)] * len(pres.generators))
@@ -200,8 +200,6 @@ def test_bernstein_rejects_bad_requests():
     f = gl.catalog_target("square")
     with pytest.raises(AlgebraError):
         gl.bernstein_approx(f, 0)
-    with pytest.raises(UnsupportedError, match="univariate"):
-        gl.catalog_target("square", dim=2)
     big = TargetFunction(name="big", dim=4, fn=lambda p: 0.0)
     with pytest.raises(UnsupportedError):
         gl.bernstein_approx(big, 2)

@@ -6,11 +6,12 @@ import pytest
 import gelfand_lab as gl
 from gelfand_lab import (BoxSampler, Character, CompactBox, ComplexRational,
                          GridSampler, SampleSet)
+from gelfand_lab.cli import canonical_box, canonical_presentation, main
 from gelfand_lab.errors import (AlgebraError, CharacterError,
                                 UnsupportedError)
 
 from helpers import (circle, disk, line, nil, plain, rand_character,
-                     rand_morphism, rand_poly)
+                     rand_fraction, rand_morphism, rand_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +299,220 @@ def test_radical_witness_on_line():
     assert report.witness is not None
     assert not report.nilpotent
     assert report.max_abs > 0
+
+
+# ---------------------------------------------------------------------------
+# the axis layout against the flat (generator, role) reference
+# ---------------------------------------------------------------------------
+
+LAYOUT_CASES = {
+    "line": line,
+    "disk": disk,
+    "plain-pair": lambda: plain("algebra P ; generator u, v : free ;"),
+    "selfadjoint-then-free": lambda: gl.parse_presentation(
+        "algebra Q ; generator x : selfadjoint ; generator z : free ;"),
+    "two-pairs": lambda: gl.parse_presentation(
+        "algebra Pair ; generator z, w : free ;"),
+}
+
+
+def reference_flat_layout(pres):
+    """One (generator index, role) pair per real axis; role "val" is a
+    self-adjoint value, "re"/"im" split a free or plain generator."""
+    axes = []
+    for i in range(len(pres.generators)):
+        a = pres.adjoint[i]
+        if a is None:
+            axes.extend([(i, "re"), (i, "im")])
+        elif a == i:
+            axes.append((i, "val"))
+        elif a > i:
+            axes.extend([(i, "re"), (i, "im")])
+    return axes
+
+
+def reference_character_from_axes(pres, point, exact=True):
+    axes = reference_flat_layout(pres)
+    if len(point) != len(axes):
+        raise AlgebraError(f"expected {len(axes)} coordinates, got {len(point)}")
+    parts = {}
+    for (gi, role), v in zip(axes, point):
+        parts.setdefault(gi, {})[role] = v
+    values = [None] * len(pres.generators)
+    for gi, comp in parts.items():
+        if "val" in comp:
+            v = ComplexRational(comp["val"]) if exact \
+                else complex(float(comp["val"]), 0.0)
+        else:
+            v = ComplexRational(comp["re"], comp["im"]) if exact \
+                else complex(float(comp["re"]), float(comp["im"]))
+        values[gi] = v
+        a = pres.adjoint[gi]
+        if a is not None and a != gi:
+            values[a] = v.conjugate()
+    return tuple(values)
+
+
+def reference_box_intervals(pres, by_gen):
+    axes = reference_flat_layout(pres)
+    needed = {}
+    for gi, _ in axes:
+        needed[gi] = needed.get(gi, 0) + 1
+    intervals = []
+    used = set()
+    for gi, role in axes:
+        name = pres.generators[gi]
+        if name not in by_gen:
+            raise AlgebraError(f"no box bounds for generator {name!r}")
+        given = by_gen[name]
+        if len(given) != needed[gi]:
+            raise AlgebraError(
+                f"generator {name!r} needs {needed[gi]} interval(s), "
+                f"got {len(given)}")
+        used.add(name)
+        intervals.append(given[0] if role in ("val", "re") else given[1])
+    extra = set(by_gen) - used
+    if extra:
+        raise AlgebraError(
+            f"box bounds given for non-axis generator {sorted(extra)[0]!r}")
+    return tuple(intervals)
+
+
+def reference_modulus_bound(box, gen_index):
+    a = box.pres.adjoint[gen_index]
+    if a is not None and a < gen_index:
+        gen_index = a
+    bound = Fraction(0)
+    for (gi, _), (lo, hi) in zip(reference_flat_layout(box.pres), box.intervals):
+        if gi == gen_index:
+            bound += max(abs(lo), abs(hi))
+    return bound
+
+
+def reference_canonical_box(box):
+    axes = reference_flat_layout(box.pres)
+    parts = []
+    pos = 0
+    while pos < len(axes):
+        gi = axes[pos][0]
+        count = 1
+        while pos + count < len(axes) and axes[pos + count][0] == gi:
+            count += 1
+        spans = " x ".join(f"[{lo}, {hi}]"
+                           for lo, hi in box.intervals[pos:pos + count])
+        parts.append(f"{box.pres.generators[gi]} = {spans}")
+        pos += count
+    return "box { " + " ; ".join(parts) + " }"
+
+
+def reference_canonical_presentation(pres):
+    lines = [f"algebra {pres.name} ;"]
+    for i, name in enumerate(pres.generators):
+        a = pres.adjoint[i]
+        if a is not None and a < i:
+            continue
+        kind = "selfadjoint" if a == i else "free"
+        lines.append(f"generator {name} : {kind} ;")
+    return "\n".join(lines)
+
+
+def reference_axis_generators(pres):
+    """The default ``gns`` operators: every generator but adjoint partners."""
+    return [pres.generators[i] for i in range(len(pres.generators))
+            if pres.adjoint[i] is None or pres.adjoint[i] >= i]
+
+
+def random_by_gen(pres, rng):
+    """Valid box bounds keyed by generator name, from the reference layout."""
+    by_gen = {}
+    for gi, _ in reference_flat_layout(pres):
+        lo = rand_fraction(rng)
+        by_gen.setdefault(pres.generators[gi], []).append(
+            (lo, lo + abs(rand_fraction(rng))))
+    return by_gen
+
+
+def raised(fn, *args):
+    try:
+        return fn(*args)
+    except AlgebraError as exc:
+        return f"AlgebraError: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_axis_layout_groups_the_flat_reference(name):
+    pres = LAYOUT_CASES[name]()
+    flat = reference_flat_layout(pres)
+    assert gl.axis_layout(pres) == [
+        (gi, sum(1 for g, _ in flat if g == gi))
+        for gi in dict.fromkeys(g for g, _ in flat)]
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_character_from_axes_matches_reference(name):
+    pres = LAYOUT_CASES[name]()
+    rng = Random(1010)
+    dim = len(reference_flat_layout(pres))
+    for _ in range(40):
+        exact_point = [rand_fraction(rng) for _ in range(dim)]
+        float_point = [rng.uniform(-5, 5) for _ in range(dim)]
+        for point, exact in ((exact_point, True), (float_point, False)):
+            char = gl.character_from_axes(pres, point, exact=exact)
+            assert char.exact == exact
+            assert char.values == reference_character_from_axes(pres, point, exact)
+    for point in ([], [Fraction(0)] * (dim + 1)):
+        assert raised(gl.character_from_axes, pres, point) == \
+            raised(reference_character_from_axes, pres, point)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_box_by_generator_matches_reference(name):
+    pres = LAYOUT_CASES[name]()
+    rng = Random(2020)
+    for _ in range(40):
+        by_gen = random_by_gen(pres, rng)
+        box = CompactBox.for_generators(pres, by_gen)
+        assert box.intervals == reference_box_intervals(pres, by_gen)
+        for i in range(len(pres.generators)):
+            assert box.modulus_bound(i) == reference_modulus_bound(box, i)
+        assert canonical_box(box) == reference_canonical_box(box)
+        assert gl.parse_box(canonical_box(box), pres) == box
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_for_generators_errors_match_reference(name):
+    pres = LAYOUT_CASES[name]()
+    by_gen = random_by_gen(pres, Random(3030))
+    first = next(iter(by_gen))
+    missing = {g: v for g, v in by_gen.items() if g != first}
+    wrong_count = {**by_gen, first: by_gen[first] * 3}
+    extra = {**by_gen, "nope": [(Fraction(0), Fraction(1))]}
+    cases = [(missing, "no box bounds"), (wrong_count, "needs"),
+             (extra, "non-axis generator")]
+    if name in ("disk", "two-pairs"):
+        cases.append(({**by_gen, "adj(z)": by_gen["z"]}, "non-axis generator"))
+    for bad, fragment in cases:
+        message = raised(reference_box_intervals, pres, bad)
+        assert fragment in message
+        assert raised(CompactBox.for_generators, pres, bad) == message
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+def test_canonical_presentation_matches_reference(name):
+    pres = LAYOUT_CASES[name]()
+    text = canonical_presentation(pres)
+    assert text == reference_canonical_presentation(pres)
+    assert gl.parse_presentation(text, pres.mode) == pres
+
+
+@pytest.mark.parametrize("name", sorted(set(LAYOUT_CASES) - {"plain-pair"}))
+def test_default_gns_operators_match_reference(name, tmp_path, capsys):
+    pres = LAYOUT_CASES[name]()
+    path = tmp_path / "p.star"
+    path.write_text(canonical_presentation(pres), encoding="utf-8")
+    names = reference_axis_generators(pres)
+    state = "state atomic { (" + " ; ".join(f"{g} = 0" for g in names) + ") : 1 }"
+    assert main(["gns", str(path), "--state", state, "--degree", "1"]) == 0
+    out = capsys.readouterr().out
+    assert [line[len("multiplication by "):-1] for line in out.splitlines()
+            if line.startswith("multiplication by ")] == names

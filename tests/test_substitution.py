@@ -237,7 +237,7 @@ def test_morphism_create_relation_check_matches_reference_loop(name):
 def test_coefficient_bound_matches_reference_loop(name):
     rng = Random(505)
     pres = PRESENTATIONS[name]()
-    axes = len(gl.axis_layout(pres))
+    axes = sum(n for _, n in gl.axis_layout(pres))
     for _ in range(60):
         intervals = [sorted((rand_fraction(rng), rand_fraction(rng)))
                      for _ in range(axes)]
