@@ -26,8 +26,23 @@ import numpy as np
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
 from .errors import AlgebraError, UnsupportedError
-from .scalars import ComplexRational, sqrt_to_float, to_float
+from .scalars import (ComplexRational, from_numerators, sqrt_to_float, to_float,
+                      to_numerators)
 from .spectrum import CompactBox, coefficient_bound
+
+# Size caps, each checked before its table is allocated.  At each cap the
+# largest accepted request of catalog shape (a polynomial of degree <= 8)
+# ends in under 10 s and 450 MB on a 2-vCPU VM.
+MAX_GRID_TABLE = 2 ** 19  # one generator's grid table: resolution^axes points
+MAX_GRID_POINTS = 2 ** 21  # seminorm grid: resolution^dim points
+MAX_BERNSTEIN_DEGREE = 1024  # a power of two, so the doubling search reaches it
+MAX_ERROR_GRID = 2 ** 22  # Bernstein error grid: resolution^dim points
+MAX_BASIS_ENTRIES = 2 ** 24  # Bernstein basis matrix: resolution*(degree + 1)
+
+
+def _check_size(what: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise UnsupportedError(f"{what} exceeds the cap of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +122,18 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     D**(deg - |m|) makes the value at every point N / (L * D**deg) for a
     Gaussian integer N.  The largest |N|^2 is divided once at the end.
     """
+    widest = max((n for _, n in spectrum.axis_layout(box.pres)), default=0)
+    _check_size(f"grid table of {resolution}^{widest} points for one generator",
+                resolution ** widest, MAX_GRID_TABLE)
+    _check_size(f"grid of {resolution}^{box.dimension()} points",
+                resolution ** box.dimension(), MAX_GRID_POINTS)
     if a.is_zero():
         return Fraction(0)
     pres = a.pres
-    den = math.lcm(*(q.denominator for lo, hi in box.intervals
-                     for q in (lo, (hi - lo) / (resolution - 1))))
+    den, ends, _ = to_numerators(q for lo, hi in box.intervals
+                                 for q in (lo, (hi - lo) / (resolution - 1)))
+    axis_coords = iter([[x0 + k * dx for k in range(resolution)]
+                        for x0, dx in zip(ends[::2], ends[1::2])])
 
     # One group per axis generator.  At each of its grid values v (the
     # adjoint partner takes conj(v)) every distinct factor v^p * conj(v)^q
@@ -119,25 +141,22 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     # (p,) for a generator without a distinct partner.
     groups = []
     for gi, spans in box.by_generator():
+        coords = [next(axis_coords) for _ in spans]
         partner = pres.adjoint[gi]
         slots = (gi,) if partner is None or partner == gi else (gi, partner)
         partials = sorted({tuple(m[i] for i in slots) for m, _ in a.terms})
         if partials == [(0,) * len(slots)]:
             continue  # the transform is constant along these axes
-        coords = []
-        for lo, hi in spans:
-            x0, dx = int(lo * den), int((hi - lo) / (resolution - 1) * den)
-            coords.append([x0 + k * dx for k in range(resolution)])
         groups.append((slots, partials, coords))
 
     deg = a.degree()
-    lcd = math.lcm(*(q.denominator for _, c in a.terms for q in (c.re, c.im)))
+    lcd, c_re, c_im = to_numerators(c for _, c in a.terms)
     terms = []
-    for m, c in a.terms:
-        scale = lcd * den ** (deg - sum(m))
+    for (m, _), cr, ci in zip(a.terms, c_re, c_im):
+        scale = den ** (deg - sum(m))
         ids = tuple(partials.index(tuple(m[i] for i in slots))
                     for slots, partials, _ in groups)
-        terms.append((int(c.re * scale), int(c.im * scale), ids))
+        terms.append((cr * scale, ci * scale, ids))
 
     tables = []
     for slots, partials, coords in groups:
@@ -278,6 +297,7 @@ def bernstein_approx(f: TargetFunction, n: int,
     """
     if n < 1:
         raise AlgebraError("Bernstein degree must be at least 1")
+    _check_size(f"Bernstein degree {n}", n, MAX_BERNSTEIN_DEGREE)
     dim = f.dim
     if not 1 <= dim <= 3:
         raise UnsupportedError("Bernstein approximation supports 1 to 3 axes")
@@ -285,6 +305,10 @@ def bernstein_approx(f: TargetFunction, n: int,
         error_resolution = {1: 10001, 2: 101, 3: 23}[dim]
     elif error_resolution < 2:
         raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
+    _check_size(f"Bernstein error grid of {error_resolution}^{dim} points",
+                error_resolution ** dim, MAX_ERROR_GRID)
+    _check_size(f"Bernstein basis matrix of {error_resolution}*{n + 1} entries",
+                error_resolution * (n + 1), MAX_BASIS_ENTRIES)
     if intervals is None:
         box_iv = [(Fraction(0), Fraction(1))] * dim
     else:
@@ -300,38 +324,26 @@ def bernstein_approx(f: TargetFunction, n: int,
         mapped = tuple(axis_nodes[k] for axis_nodes, k in zip(nodes, key))
         if f.exact_fn is not None:
             raw = f.exact_fn(mapped)
-            value = raw if isinstance(raw, ComplexRational) else ComplexRational(raw)
         else:
-            raw_num = f.fn(tuple(float(x) for x in mapped))
-            c = complex(raw_num)
-            value = ComplexRational(Fraction(c.real), Fraction(c.imag))
-        exact_vals[key] = value
+            c = complex(f.fn(tuple(float(x) for x in mapped)))
+            raw = ComplexRational(Fraction(c.real), Fraction(c.imag))
+        exact_vals[key] = raw if isinstance(raw, ComplexRational) else ComplexRational(raw)
 
-    # expand into the monomial basis, one axis at a time, on integer
-    # numerators over the common denominator of the node values
-    expand = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        lead = math.comb(n, k)
-        for m in range(k, n + 1):
-            expand[k][m] = lead * math.comb(n - k, m - k) * (-1 if (m - k) % 2 else 1)
-    den = math.lcm(*(q.denominator for v in exact_vals.values() for q in (v.re, v.im)))
-    tensor = {key: (int(v.re * den), int(v.im * den)) for key, v in exact_vals.items()}
-    for axis in range(dim):
-        contracted: dict[tuple[int, ...], tuple[int, int]] = {}
-        for key, (vr, vi) in tensor.items():
-            if not (vr or vi):
-                continue
-            k = key[axis]
-            row = expand[k]
-            for m in range(k, n + 1):
-                e = row[m]
-                new_key = key[:axis] + (m,) + key[axis + 1:]
-                ar, ai = contracted.get(new_key, (0, 0))
-                contracted[new_key] = (ar + vr * e, ai + vi * e)
-        tensor = contracted
+    # On each axis B_n f = sum_m C(n, m) * (D^m f)(node 0) * t^m, with D the
+    # forward difference over the nodes.  The map is real-linear, so the
+    # real and imaginary numerators (the leading axis) go through together.
+    den, re, im = to_numerators(exact_vals.values())
+    tensor = np.array([re, im], dtype=object).reshape((2,) + (n + 1,) * dim)
+    for axis in range(1, dim + 1):
+        rows = []
+        for m in range(n + 1):
+            rows.append(tensor.take(0, axis=axis) * math.comb(n, m))
+            tensor = np.diff(tensor, axis=axis)
+        tensor = np.stack(rows, axis=axis)
+    nonzero = (tensor[0] != 0) | (tensor[1] != 0)
+    coeffs = from_numerators(den, tensor[0][nonzero], tensor[1][nonzero])
     pres = _coordinate_presentation(dim)
-    poly = pres.poly({k: ComplexRational(Fraction(vr, den), Fraction(vi, den))
-                      for k, (vr, vi) in tensor.items() if vr or vi})
+    poly = pres.poly(dict(zip(map(tuple, np.argwhere(nonzero).tolist()), coeffs)))
 
     # error of |f - B| on a grid, via the stable evaluator
     float_vals = {k: complex(v) for k, v in exact_vals.items()}
@@ -361,6 +373,8 @@ def density_witness(f: TargetFunction, epsilon: float,
     """Search doubling degrees for a Bernstein approximant within epsilon."""
     if error_resolution is not None and error_resolution < 2:
         raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
+    _check_size(f"Bernstein search up to degree {max_degree}", max_degree,
+                MAX_BERNSTEIN_DEGREE)
     n = 4
     while n <= max_degree:
         result = bernstein_approx(f, n, error_resolution=error_resolution)

@@ -277,8 +277,6 @@ def cmd_approx(args) -> tuple[dict, list[str], int]:
     echo = {"target": target.name, "dim": str(target.dim)}
     report = base_report("approx", echo)
     report.update(target=target.name, dim=target.dim)
-    if args.epsilon is None and args.degree is None:
-        raise GelfandError("approx needs --degree or --epsilon")
     if args.epsilon is not None:
         result = approx.density_witness(target, args.epsilon,
                                         max_degree=args.max_degree,
@@ -475,10 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Bernstein approximation of a catalog target")
     p.add_argument("--target", required=True,
                    help="catalog name: square, abs-shift, exp")
-    p.add_argument("--degree", type=int, help="fixed Bernstein degree")
-    p.add_argument("--epsilon", type=float,
-                   help="search for the least doubling degree within "
-                        "this sup error")
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--degree", type=int, help="fixed Bernstein degree")
+    how.add_argument("--epsilon", type=float,
+                     help="search for the least doubling degree within "
+                          "this sup error")
     p.add_argument("--max-degree", type=int, default=256,
                    help="search cap for --epsilon (default %(default)s)")
     p.add_argument("--resolution", type=int,

@@ -75,8 +75,9 @@ class ComplexRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable, so one is kept as it is, not copied
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ComplexRational is immutable")
@@ -197,6 +198,22 @@ def _operand(value: object) -> ComplexRational | None:
     if isinstance(value, (int, Fraction)):
         return ComplexRational(value)
     return None
+
+
+def to_numerators(values) -> tuple[int, list[int], list[int]]:
+    """(den, re, im) with each value (re[k] + im[k]*i) / den, den the lcm
+    of every part's denominator, so gcd(den, *re, *im) == 1."""
+    parts = [(v.re, v.im) if isinstance(v, ComplexRational) else (v, 0)
+             for v in values]
+    den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return (den, [x.numerator * (den // x.denominator) for x, _ in parts],
+            [y.numerator * (den // y.denominator) for _, y in parts])
+
+
+def from_numerators(den: int, re, im) -> list[ComplexRational]:
+    """The values (re[k] + im[k]*i) / den, each part in lowest terms."""
+    return [ComplexRational(Fraction(x, den), Fraction(y, den))
+            for x, y in zip(re, im)]
 
 
 ZERO = ComplexRational(0)

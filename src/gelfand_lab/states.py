@@ -29,7 +29,8 @@ import numpy as np
 from . import spectrum
 from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
 from .errors import AlgebraError, GnsError, StateError, UnsupportedError
-from .scalars import FLOAT_OVERFLOW, ONE, ComplexRational, to_float
+from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
+                      to_float, to_numerators)
 from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
 
 Value = Union[ComplexRational, complex]
@@ -320,13 +321,9 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
 def _gns_exact(model: GnsModel) -> GnsModel:
     gram = model.gram
     n = len(model.basis)
-    # scale * G is a matrix of Gaussian integers, one int table per part.
-    scale = math.lcm(*(q.denominator for row in gram for z in row
-                       for q in (z.re, z.im)))
-    g_re = [[z.re.numerator * (scale // z.re.denominator) for z in row]
-            for row in gram]
-    g_im = [[z.im.numerator * (scale // z.im.denominator) for z in row]
-            for row in gram]
+    # scale * G is a matrix of Gaussian integers, flat in row-major order,
+    # so column j is g_re[j::n], g_im[j::n].
+    scale, g_re, g_im = to_numerators(z for row in gram for z in row)
     # The current vector v and its image scale * G v are held as one list
     # of 2n Gaussian-integer numerators (re and im parts) over a positive
     # den.  G is Hermitian and the kept vectors u are G-orthogonal, so the
@@ -335,14 +332,14 @@ def _gns_exact(model: GnsModel) -> GnsModel:
     ortho: list[tuple[list[int], list[int], int, int]] = []
     null: list[tuple[ComplexRational, ...]] = []
     for j in range(n):
-        v_re = [int(i == j) for i in range(n)] + [row[j] for row in g_re]
-        v_im = [0] * n + [row[j] for row in g_im]
+        v_re = [int(i == j) for i in range(n)] + g_re[j::n]
+        v_im = [0] * n + g_im[j::n]
         den = 1
         for u_re, u_im, u_den, pivot in ortho:
             c_re, c_im = u_re[n + j], -u_im[n + j]
             if not (c_re or c_im):
                 continue
-            # v - c u over the denominator lcm(den, pivot * u_den)
+            # v - c u over the least common multiple of den and pivot * u_den
             u_scale = pivot * u_den
             g = math.gcd(den, u_scale)
             keep, take = u_scale // g, den // g
@@ -364,8 +361,7 @@ def _gns_exact(model: GnsModel) -> GnsModel:
                            f"squared length {Fraction(pivot, den * scale)} "
                            f"at basis slot {j}")
         if pivot == 0:
-            null.append(tuple(ComplexRational(Fraction(x, den), Fraction(y, den))
-                              for x, y in zip(v_re[:n], v_im[:n])))
+            null.append(tuple(from_numerators(den, v_re[:n], v_im[:n])))
         else:
             ortho.append((v_re, v_im, den, pivot))
     orthonormal = []
@@ -374,9 +370,8 @@ def _gns_exact(model: GnsModel) -> GnsModel:
         if not length:
             raise AlgebraError("floating point underflow: a squared length "
                                "of the GNS basis is below the float range")
-        row = tuple(complex(to_float(Fraction(x, u_den)),
-                            to_float(Fraction(y, u_den))) / length
-                    for x, y in zip(u_re[:n], u_im[:n]))
+        row = tuple(complex(z) / length
+                    for z in from_numerators(u_den, u_re[:n], u_im[:n]))
         if not all(map(cmath.isfinite, row)):
             raise AlgebraError(FLOAT_OVERFLOW)
         orthonormal.append(row)

@@ -264,8 +264,11 @@ def reference_bernstein(f, n, intervals, resolution):
     (TargetFunction("kink", 3, fn=lambda p: complex(abs(p[0] - p[1]), p[0] * p[2]),
                     exact_fn=lambda p: ComplexRational(abs(p[0] - p[1]), p[0] * p[2])),
      3, [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)], 9),
+    (TargetFunction("zero", 2, fn=lambda p: 0.0, exact_fn=lambda p: Fraction(0)),
+     5, [(0, 1), (Fraction(1, 3), 2)], 7),
+    (gl.catalog_target("abs-shift"), 300, [(Fraction(-1, 3), Fraction(5, 7))], 201),
 ], ids=["line-exact", "line-float-nodes", "plane-exact", "plane-float-nodes",
-        "cube-exact"])
+        "cube-exact", "plane-all-zero", "line-exact-300"])
 def test_bernstein_matches_reference_expansion(f, n, intervals, resolution):
     result = gl.bernstein_approx(f, n, intervals=intervals, error_resolution=resolution)
     table, error = reference_bernstein(f, n, intervals, resolution)

@@ -23,7 +23,7 @@ SQUARE = f"algebra Sq ;\ngenerator x : selfadjoint ;\nrelation x - ({LONG})^2 ;\
 def files(tmp_path):
     paths = {}
     for name, text in (("line", LINE), ("disk", DISK), ("nil", NIL),
-                       ("plane", PLANE), ("square", SQUARE)):
+                       ("plane", PLANE), ("bigsquare", SQUARE)):
         f = tmp_path / f"{name}.star"
         f.write_text(text, encoding="utf-8")
         paths[name] = str(f)
@@ -157,9 +157,13 @@ def test_approx_epsilon_search(capsys):
     assert code == 0
     assert doc["achieved"] is True
     assert doc["error"]["upper"] <= 0.08
-    code, _, err = run(capsys, "approx", "--target", "square")
-    assert code == 1
-    assert "--degree" in err
+    for argv in (["approx", "--target", "square"],
+                 ["approx", "--target", "square", "--degree", "0",
+                  "--epsilon", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "--degree" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,7 +196,7 @@ def test_approx_epsilon_search(capsys):
     ["seminorm", "line", "--poly", "x", "--box", "x = [0, 1e-99999999999]"],
     ["eval", "line", "--poly", "x^2", "--char", f"x={LONG}"],
     ["eval", "line", "--poly", "x^2", "--char", f"x={LONG}", "--json"],
-    ["parse", "square"],
+    ["parse", "bigsquare"],
     ["seminorm", "line", "--poly", "x^2", "--box", f"x = [0, 1/{LONG}]"],
     ["gns", "line", "--degree", "1",
      "--state", f"state atomic {{ (x = 0) : 1/2 ; (x = {TINY}) : 1/2 }}"],
@@ -226,6 +230,35 @@ def test_gns_basis_cap_exits_one_at_once(files, command):
     assert proc.returncode == 1
     assert "GNS basis too large" in proc.stderr
     assert "exceed the cap of" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["seminorm", "disk", "--poly", "z^3", "--box", "z=[-1,1]x[-1,1]",
+      "--resolution", "100000"], "grid table of 100000^2 points"),
+    (["seminorm", "line", "--poly", "x", "--box", "x=[0,1]",
+      "--resolution", "100000000"], "grid table of 100000000^1 points"),
+    (["seminorm", "plane", "--poly", "x*y", "--box", "x=[0,1] ; y=[0,1]",
+      "--resolution", "2000"], "grid of 2000^2 points"),
+    (["approx", "--target", "square", "--degree", "4",
+      "--resolution", "100000000"], "error grid of 100000000^1 points"),
+    (["approx", "--target", "square", "--degree", "1000",
+      "--resolution", "20000"], "basis matrix of 20000*1001 entries"),
+    (["approx", "--target", "square", "--degree", "1030",
+      "--resolution", "3"], "Bernstein degree 1030"),
+    (["approx", "--target", "square", "--degree", "100000"],
+     "Bernstein degree 100000"),
+    (["approx", "--target", "exp", "--epsilon", "1e-300",
+      "--max-degree", "100000000"], "up to degree 100000000"),
+], ids=["disk-table", "line-table", "plane-grid", "error-grid", "basis-matrix",
+        "degree-past-cap", "degree-huge", "search-past-cap"])
+def test_size_caps_exit_one_at_once(files, argv, what):
+    # before the caps these ended in OverflowError, MemoryError or a hang
+    argv = [files.get(a, a) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert what in proc.stderr and "exceeds the cap of" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -9,12 +9,18 @@ from hypothesis import strategies as st
 
 from gelfand_lab import ComplexRational
 from gelfand_lab.errors import AlgebraError, UnsupportedError
-from gelfand_lab.scalars import rational_literal, sqrt_to_float
+from gelfand_lab.scalars import (from_numerators, rational_literal, sqrt_to_float,
+                                 to_numerators)
 
 from helpers import disk
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(ComplexRational, fractions, fractions)
+wide = st.fractions(max_denominator=10 ** 30)
+exact_values = st.lists(st.one_of(st.integers(), wide,
+                                  st.builds(ComplexRational, wide, wide),
+                                  st.just(0), st.just(ComplexRational(0))),
+                        max_size=8)
 
 
 def test_construction_and_parts():
@@ -161,3 +167,20 @@ def test_random_field_laws():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+@given(exact_values)
+def test_numerators_round_trip_over_the_least_denominator(values):
+    den, re, im = to_numerators(values)
+    assert from_numerators(den, re, im) == values
+    parts = [q for v in map(ComplexRational.coerce, values) for q in (v.re, v.im)]
+    assert den == math.lcm(*(q.denominator for q in parts))
+    assert all(type(x) is int for x in re + im)
+    assert math.gcd(den, *re, *im) == 1
+
+
+def test_numerators_of_nothing():
+    assert to_numerators([]) == (1, [], [])
+    assert from_numerators(1, [], []) == []
+    assert to_numerators([Fraction(-1, 6), ComplexRational(0, Fraction(3, 4))]) \
+        == (12, [-2, 0], [0, 9])
