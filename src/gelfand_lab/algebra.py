@@ -15,8 +15,11 @@ what the underlying functor forgets.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, neg
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -24,17 +27,25 @@ from .errors import (
     MorphismError,
     PresentationError,
     RewriteBudgetError,
+    check_cap,
 )
-from .scalars import ONE, ZERO, ComplexRational, ScalarLike, power
+from .scalars import (ONE, ZERO, ComplexRational, ScalarLike, from_numerators,
+                      power, to_numerators)
 
 Monomial = tuple[int, ...]
 Terms = tuple[tuple[Monomial, ComplexRational], ...]
 RawTable = dict[Monomial, ComplexRational]
+# Gaussian-integer numerators (re, im) over a denominator kept beside them
+IntTable = dict[Monomial, tuple[int, int]]
+IntTerms = tuple[tuple[Monomial, tuple[int, int]], ...]
 
 MODE_ALGEBRA = "algebra"
 MODE_STAR = "star-algebra"
 
 DEFAULT_REWRITE_BUDGET = 10**6
+# monomials a power can reach, C(n*deg + k, k) on k generators.  The line is
+# the worst shape: at the cap (x^3 - x/2 + 2/3)^833 takes about 10 s
+MAX_POWER_TERMS = 2500
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +61,7 @@ def grlex_key(m: Monomial) -> tuple[int, Monomial]:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_involute(adjoint: Sequence[int], m: Monomial) -> Monomial:
@@ -63,7 +74,7 @@ def mono_involute(adjoint: Sequence[int], m: Monomial) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
@@ -81,7 +92,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 def raw_add_into(acc: RawTable, terms: Iterable[tuple[Monomial, ComplexRational]],
                  scale: ComplexRational = ONE) -> None:
     for mono, coeff in terms:
-        c = acc.get(mono, ZERO) + coeff * scale
+        c = acc.get(mono, ZERO) + (coeff if scale is ONE else coeff * scale)
         if c.is_zero():
             acc.pop(mono, None)
         else:
@@ -90,16 +101,7 @@ def raw_add_into(acc: RawTable, terms: Iterable[tuple[Monomial, ComplexRational]
 
 def raw_mul(a: Mapping[Monomial, ComplexRational],
             b: Mapping[Monomial, ComplexRational]) -> RawTable:
-    out: RawTable = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            c = out.get(m, ZERO) + ca * cb
-            if c.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = c
-    return out
+    return dict(_from_int_table(*_int_mul(a.items(), b.items())))
 
 
 def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) -> RawTable:
@@ -124,6 +126,56 @@ def substitute(terms: Iterable[tuple[Monomial, object]], values: Sequence,
     return total
 
 
+# ---------------------------------------------------------------------------
+# integer tables: Gaussian-integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+def _int_table(items: Iterable[tuple[Monomial, ComplexRational]]) -> tuple[int, IntTable]:
+    """(den, {mono: (re, im)}) through scalars.to_numerators."""
+    items = tuple(items)
+    den, re, im = to_numerators(c for _, c in items)
+    return den, dict(zip((m for m, _ in items), zip(re, im)))
+
+
+def _from_int_table(den: int, table: IntTable) -> Terms:
+    """The nonzero entries as (monomial, ComplexRational), in table order."""
+    monos = [m for m, (x, y) in table.items() if x or y]
+    return tuple(zip(monos, from_numerators(den, [table[m][0] for m in monos],
+                                            [table[m][1] for m in monos])))
+
+
+def _add_shifted(table: IntTable, terms: Iterable[tuple[Monomial, tuple[int, int]]],
+                 shift: Monomial, re: int, im: int) -> list[Monomial]:
+    """table += (re + im*i) * x^shift * terms, all over one denominator.
+
+    Returns the monomials new to the table.  Entries that cancel stay, as
+    (0, 0), so a monomial enters the table once.
+    """
+    new = []
+    for m, (x, y) in terms:
+        m = tuple(map(add, m, shift))
+        dx, dy = re * x - im * y, re * y + im * x
+        old = table.get(m)
+        if old is None:
+            table[m] = (dx, dy)
+            new.append(m)
+        else:
+            table[m] = (old[0] + dx, old[1] + dy)
+    return new
+
+
+def _int_mul(a: Iterable[tuple[Monomial, ComplexRational]],
+             b: Iterable[tuple[Monomial, ComplexRational]]) -> tuple[int, IntTable]:
+    """The product of two coefficient sequences as (den, integer table)."""
+    den_a, a_ints = _int_table(a)
+    den_b, b_ints = _int_table(b)
+    b_terms = tuple(b_ints.items())
+    table: IntTable = {}
+    for m, (x, y) in a_ints.items():
+        _add_shifted(table, b_terms, m, x, y)
+    return den_a * den_b, table
+
+
 def sort_terms(table: Mapping[Monomial, ComplexRational]) -> Terms:
     return tuple(sorted(
         ((m, c) for m, c in table.items() if not c.is_zero()),
@@ -138,12 +190,27 @@ def sort_terms(table: Mapping[Monomial, ComplexRational]) -> Terms:
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """One oriented relation: lead coefficient * lead monomial + tail = 0."""
+    """One oriented relation: lead coefficient * lead monomial + tail = 0.
+
+    The division loop and the confluence check read the monic tail,
+    tail / coeff, as Gaussian-integer numerators ``tail_ints`` over
+    ``tail_den``, fixed once by ``orient``.
+    """
 
     lead: Monomial
     coeff: ComplexRational
     tail: Terms
     index: int  # position in the presentation's relation list
+    tail_den: int
+    tail_ints: IntTerms
+
+    @classmethod
+    def orient(cls, terms: Terms, index: int) -> "RewriteRule":
+        """The rule of a relation sorted by descending graded-lex order."""
+        (lead, coeff), tail = terms[0], terms[1:]
+        monic = tail if coeff == ONE else tuple((m, c / coeff) for m, c in tail)
+        den, ints = _int_table(monic)
+        return cls(lead, coeff, tail, index, den, tuple(ints.items()))
 
 
 @dataclass(frozen=True)
@@ -169,18 +236,35 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
     the difference between input and output as an explicit combination of
     shifted relations, which tests replay to certify soundness.
     """
-    table: RawTable = {m: c for m, c in raw.items() if not c.is_zero()}
-    steps: list[RewriteStep] = []
     if not rules:
-        return sort_terms(table), steps
-    normal: RawTable = {}
+        return sort_terms(raw), []
+    return _reduce(rules, *_int_table(raw.items()), budget, record)
+
+
+def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
+            budget: int = DEFAULT_REWRITE_BUDGET,
+            record: bool = False) -> tuple[Terms, list[RewriteStep]]:
+    """The division loop of normalize_table on an integer table over den.
+
+    A heap of negated graded-lex keys yields the largest monomial left.  A
+    reduction only adds monomials smaller than the one it removes, so a
+    popped monomial never comes back, each monomial enters the heap once,
+    with the table, and an entry that cancelled to zero is skipped when
+    popped: the order is that of a max scan over the nonzero entries.
+    """
+    heap = [(-sum(m), tuple(map(neg, m)), m) for m in table]
+    heapq.heapify(heap)
+    normal: IntTable = {}
+    steps: list[RewriteStep] = []
     count = 0
-    while table:
-        mono = max(table, key=grlex_key)
-        coeff = table.pop(mono)
+    while heap:
+        mono = heapq.heappop(heap)[2]
+        re, im = table.pop(mono)
+        if not (re or im):
+            continue
         rule = next((r for r in rules if mono_divides(r.lead, mono)), None)
         if rule is None:
-            normal[mono] = coeff
+            normal[mono] = (re, im)
             continue
         count += 1
         if count > budget:
@@ -188,12 +272,20 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
                 f"normalization exceeded {budget} rewrite steps "
                 f"(last rule index {rule.index})")
         shift = mono_quotient(mono, rule.lead)
-        factor = coeff / rule.coeff
-        raw_add_into(table, ((mono_mul(tm, shift), tc) for tm, tc in rule.tail),
-                     scale=-factor)
         if record:
-            steps.append(RewriteStep(rule.index, shift, factor))
-    return sort_terms(normal), steps
+            coeff = ComplexRational(Fraction(re, den), Fraction(im, den))
+            steps.append(RewriteStep(rule.index, shift, coeff / rule.coeff))
+        # subtract (re + im*i)/den * x^shift * (lead + tail_ints/tail_den);
+        # what of tail_den the coefficient does not absorb scales the table
+        g = math.gcd(re, im, rule.tail_den)
+        scale = rule.tail_den // g
+        if scale > 1:
+            den *= scale
+            table = {m: (x * scale, y * scale) for m, (x, y) in table.items()}
+            normal = {m: (x * scale, y * scale) for m, (x, y) in normal.items()}
+        for m in _add_shifted(table, rule.tail_ints, shift, -re // g, -im // g):
+            heapq.heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+    return _from_int_table(den, normal), steps
 
 
 def verify_rewrite_trace(pres: "StarPresentation",
@@ -286,10 +378,7 @@ class StarPresentation:
             if terms:
                 canonical.append(terms)
         relations = tuple(canonical)
-        rules = tuple(
-            RewriteRule(lead=t[0][0], coeff=t[0][1], tail=t[1:], index=i)
-            for i, t in enumerate(relations)
-        )
+        rules = tuple(RewriteRule.orient(t, i) for i, t in enumerate(relations))
         pres = cls(name, mode, generators, adjoint, relations, rules, budget)
 
         # confluence first: on a non-confluent system the closure check below
@@ -313,13 +402,14 @@ class StarPresentation:
                 lcm = mono_lcm(ri.lead, rj.lead)
                 if lcm == mono_mul(ri.lead, rj.lead):
                     continue  # coprime leads: the pair resolves trivially
-                s_poly: RawTable = {}
-                for rule, scale in ((ri, ONE / ri.coeff), (rj, -(ONE / rj.coeff))):
-                    shift = mono_quotient(lcm, rule.lead)
-                    raw_add_into(s_poly, ((mono_mul(m, shift), c)
-                                          for m, c in self.relations[rule.index]),
-                                 scale=scale)
-                reduced, _ = normalize_table(rules, s_poly, self.budget)
+                # the monic leads cancel, so the S-polynomial is the two
+                # shifted monic tails over the lcm of their denominators
+                den = math.lcm(ri.tail_den, rj.tail_den)
+                s_poly: IntTable = {}
+                for rule, sign in ((ri, 1), (rj, -1)):
+                    _add_shifted(s_poly, rule.tail_ints, mono_quotient(lcm, rule.lead),
+                                 sign * (den // rule.tail_den), 0)
+                reduced, _ = _reduce(rules, den, s_poly, self.budget)
                 if reduced:
                     raise PresentationError(
                         f"relations {i} and {j} are not confluent: "
@@ -516,7 +606,9 @@ class StarPoly:
                 return self.pres.zero()
             return StarPoly(self.pres, tuple((m, k * c) for m, k in self.terms))
         self._require_same(other)
-        return self.pres.poly(raw_mul(self.as_table(), other.as_table()))
+        pres = self.pres
+        terms, _ = _reduce(pres._rules, *_int_mul(self.terms, other.terms), pres.budget)
+        return StarPoly(pres, terms)
 
     def __rmul__(self, other: ScalarLike) -> "StarPoly":
         return self.__mul__(other)
@@ -524,6 +616,12 @@ class StarPoly:
     def __pow__(self, n: int) -> "StarPoly":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("polynomial exponent must be a nonnegative integer")
+        # reduction never raises the degree, so no table of the expansion
+        # holds more monomials than there are of degree <= n * deg
+        d, k = self.degree(), len(self.pres.generators)
+        if d > 0:
+            check_cap(f"power expansion to C({n}*{d} + {k}, {k}) monomials",
+                      math.comb(n * d + k, k), MAX_POWER_TERMS)
         return power(self, n, self.pres.one())
 
     def involute(self) -> "StarPoly":

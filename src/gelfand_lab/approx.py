@@ -25,7 +25,7 @@ import numpy as np
 
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
-from .errors import AlgebraError, UnsupportedError
+from .errors import AlgebraError, UnsupportedError, check_cap
 from .scalars import (ComplexRational, from_numerators, sqrt_to_float, to_float,
                       to_numerators)
 from .spectrum import CompactBox, coefficient_bound
@@ -38,11 +38,6 @@ MAX_GRID_POINTS = 2 ** 21  # seminorm grid: resolution^dim points
 MAX_BERNSTEIN_DEGREE = 1024  # a power of two, so the doubling search reaches it
 MAX_ERROR_GRID = 2 ** 22  # Bernstein error grid: resolution^dim points
 MAX_BASIS_ENTRIES = 2 ** 24  # Bernstein basis matrix: resolution*(degree + 1)
-
-
-def _check_size(what: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise UnsupportedError(f"{what} exceeds the cap of {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +118,10 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     Gaussian integer N.  The largest |N|^2 is divided once at the end.
     """
     widest = max((n for _, n in spectrum.axis_layout(box.pres)), default=0)
-    _check_size(f"grid table of {resolution}^{widest} points for one generator",
-                resolution ** widest, MAX_GRID_TABLE)
-    _check_size(f"grid of {resolution}^{box.dimension()} points",
-                resolution ** box.dimension(), MAX_GRID_POINTS)
+    check_cap(f"grid table of {resolution}^{widest} points for one generator",
+              resolution ** widest, MAX_GRID_TABLE)
+    check_cap(f"grid of {resolution}^{box.dimension()} points",
+              resolution ** box.dimension(), MAX_GRID_POINTS)
     if a.is_zero():
         return Fraction(0)
     pres = a.pres
@@ -297,7 +292,7 @@ def bernstein_approx(f: TargetFunction, n: int,
     """
     if n < 1:
         raise AlgebraError("Bernstein degree must be at least 1")
-    _check_size(f"Bernstein degree {n}", n, MAX_BERNSTEIN_DEGREE)
+    check_cap(f"Bernstein degree {n}", n, MAX_BERNSTEIN_DEGREE)
     dim = f.dim
     if not 1 <= dim <= 3:
         raise UnsupportedError("Bernstein approximation supports 1 to 3 axes")
@@ -305,10 +300,10 @@ def bernstein_approx(f: TargetFunction, n: int,
         error_resolution = {1: 10001, 2: 101, 3: 23}[dim]
     elif error_resolution < 2:
         raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
-    _check_size(f"Bernstein error grid of {error_resolution}^{dim} points",
-                error_resolution ** dim, MAX_ERROR_GRID)
-    _check_size(f"Bernstein basis matrix of {error_resolution}*{n + 1} entries",
-                error_resolution * (n + 1), MAX_BASIS_ENTRIES)
+    check_cap(f"Bernstein error grid of {error_resolution}^{dim} points",
+              error_resolution ** dim, MAX_ERROR_GRID)
+    check_cap(f"Bernstein basis matrix of {error_resolution}*{n + 1} entries",
+              error_resolution * (n + 1), MAX_BASIS_ENTRIES)
     if intervals is None:
         box_iv = [(Fraction(0), Fraction(1))] * dim
     else:
@@ -373,8 +368,8 @@ def density_witness(f: TargetFunction, epsilon: float,
     """Search doubling degrees for a Bernstein approximant within epsilon."""
     if error_resolution is not None and error_resolution < 2:
         raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
-    _check_size(f"Bernstein search up to degree {max_degree}", max_degree,
-                MAX_BERNSTEIN_DEGREE)
+    check_cap(f"Bernstein search up to degree {max_degree}", max_degree,
+              MAX_BERNSTEIN_DEGREE)
     n = 4
     while n <= max_degree:
         result = bernstein_approx(f, n, error_resolution=error_resolution)

@@ -68,3 +68,9 @@ class GnsError(GelfandError):
 class UnsupportedError(GelfandError):
     """The request is outside the supported fragment (e.g. a Wirtinger
     derivative on a generator constrained by relations)."""
+
+
+def check_cap(what: str, size: int, cap: int) -> None:
+    """UnsupportedError when a requested size is past its cap."""
+    if size > cap:
+        raise UnsupportedError(f"{what} exceeds the cap of {cap}")

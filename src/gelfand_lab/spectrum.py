@@ -23,13 +23,16 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from . import algebra
 from .algebra import Morphism, StarPoly, StarPresentation
-from .errors import AlgebraError, CharacterError, UnsupportedError
+from .errors import AlgebraError, CharacterError, UnsupportedError, check_cap
 from .scalars import FLOAT_OVERFLOW, ComplexRational, sqrt_to_float, to_float
 
 Value = Union[ComplexRational, complex]
 
 FLOAT_TOLERANCE = 1e-12
 UNBOUNDED_THRESHOLD = 1e9
+# characters one radical check draws; at the cap a degree-5 disk polynomial
+# takes about 7 s
+MAX_SAMPLES = 2 ** 15
 
 
 def _abs(v: Value) -> float:
@@ -521,6 +524,7 @@ def radical_vanishing_check(a: StarPoly, sampler: Union[BoxSampler, GridSampler]
     """
     if count < 1:
         raise AlgebraError(f"sample count must be at least 1, got {count}")
+    check_cap(f"sample count {count}", count, MAX_SAMPLES)
     chars = sampler.sample(count)
     max_abs = 0.0
     witness: Character | None = None

@@ -1,19 +1,22 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import (ComplexRational, Morphism, StarPresentation,
                          verify_rewrite_trace)
-from gelfand_lab.algebra import (DEFAULT_REWRITE_BUDGET, RewriteStep,
-                                 grlex_key, mono_divides, mono_mul,
-                                 mono_quotient, normalize_table, raw_involute,
-                                 raw_mul, sort_terms)
+from gelfand_lab.algebra import (DEFAULT_REWRITE_BUDGET, MAX_POWER_TERMS,
+                                 RewriteStep, grlex_key, mono_divides,
+                                 mono_mul, mono_quotient, normalize_table,
+                                 raw_involute, raw_mul, sort_terms)
 from gelfand_lab.errors import (AlgebraError, MorphismError,
-                                PresentationError, RewriteBudgetError)
+                                PresentationError, RewriteBudgetError,
+                                UnsupportedError)
 
 from helpers import (circle, disk, line, nil, plain, rand_morphism, rand_poly,
                      rand_scalar, sphere)
@@ -153,8 +156,25 @@ def sort_and_scan_normalize(rules, raw):
         steps.append(RewriteStep(rule.index, shift, factor))
 
 
+def complex_leads():
+    """Algebra mode with non-unit complex leads and tail denominators 2, 3
+    and 5: (2+i)/3 * (x^2 - x/2), (1-2i)/5 * (x*y - y/2) and
+    (3+i)/2 * (y^3 - 2/5*y^2 + 1/3*y).  Confluent as the assembly jobs are:
+    x^2 / x*y resolves, and x*y / y^3 reduces to -(y^3 - q(y))/2."""
+    def scaled(lead, table):
+        return {m: lead * q for m, q in table.items()}
+    half, c = Fraction(1, 2), ComplexRational
+    return StarPresentation.assemble("Leads", "algebra", ("x", "y"), (None, None), [
+        scaled(c(Fraction(2, 3), Fraction(1, 3)), {(2, 0): 1, (1, 0): -half}),
+        scaled(c(Fraction(1, 5), Fraction(-2, 5)), {(1, 1): 1, (0, 1): -half}),
+        scaled(c(Fraction(3, 2), half),
+               {(0, 3): 1, (0, 2): Fraction(-2, 5), (0, 1): Fraction(1, 3)}),
+    ])
+
+
 REFERENCE_PRESENTATIONS = {
     "circle": circle,
+    "complex-leads": complex_leads,
     "sphere": sphere,
     "cubic-quartic": lambda: gl.parse_presentation(
         "algebra N ; generator x, y : selfadjoint ; relation x^3 ; relation y^4 ;"),
@@ -175,11 +195,81 @@ def raw_tables(draw):
 
 
 @given(raw_tables())
+# 1/7 absorbs no tail denominator, so these steps scale the table
+@example((complex_leads(), {
+    (3, 4): ComplexRational(Fraction(1, 7), Fraction(2, 3)),
+    (0, 5): ComplexRational(Fraction(1, 2)), (2, 0): ComplexRational(3)}))
 def test_division_loop_matches_sort_and_scan_reference(case):
     pres, raw = case
     normal, steps = normalize_table(pres.rules(), raw, record=True)
     assert (normal, steps) == sort_and_scan_normalize(pres.rules(), raw)
     assert verify_rewrite_trace(pres, raw, normal, steps)
+
+
+def naive_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, ComplexRational(0)) + ca * cb
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**30)
+coefficient_tables = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(ComplexRational, wide_fractions, wide_fractions), max_size=6)
+ONE_C, HALF_I = ComplexRational(1), ComplexRational(0, Fraction(1, 2))
+
+
+@given(coefficient_tables, coefficient_tables)
+@example({}, {(1, 0): ONE_C})
+@example({(1, 0): ONE_C, (0, 1): -ONE_C}, {(1, 0): ONE_C, (0, 1): ONE_C})
+@example({(1, 0): HALF_I, (0, 0): ComplexRational(0)}, {(1, 0): HALF_I, (0, 1): HALF_I})
+@example({(0, 0): ComplexRational(Fraction(1, 3 ** 60), 1)},
+         {(2, 1): ComplexRational(Fraction(1, 2 ** 90), Fraction(-1, 7 ** 30))})
+def test_raw_mul_matches_naive_double_loop(a, b):
+    product = raw_mul(a, b)
+    assert product == naive_mul(a, b)
+    assert all(type(c) is ComplexRational and not c.is_zero() for c in product.values())
+
+
+def _assemble4_tables():
+    # the shape of the assemble-4 benchmark jobs: x^2 - a*x, x*y_i - a*y_i
+    # and y_i^k - q_i(y_i) with q_i(0) = 0, over x and four y_i
+    a, n = Fraction(2, 3), 5
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    power = lambda i, e: tuple(e * u for u in unit[i])
+    c = ComplexRational
+    tables = [{power(0, 2): c(1), unit[0]: c(-a)}]
+    for i in range(1, n):
+        tables.append({mono_mul(unit[0], unit[i]): c(1), unit[i]: c(-a)})
+        tables.append({power(i, 4): c(1), power(i, 2): c(Fraction(3, 4)),
+                       unit[i]: c(Fraction(-5, 3))})
+    return tables
+
+
+def test_assembly_retains_no_memory():
+    tables = _assemble4_tables()
+    names = ("x", "y1", "y2", "y3", "y4")
+
+    def assemble():
+        return StarPresentation.assemble("Multi", "star-algebra", names,
+                                         range(5), tables)
+    assert len(assemble().relations) == 9
+    for _ in range(20):
+        assemble()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            assemble()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +332,20 @@ def test_generator_index_by_name_or_checked_int():
             f.image(bad)
         with pytest.raises(AlgebraError):
             char.value(bad)
+
+
+def test_power_terms_cap_checked_before_expansion():
+    x, n = line().gen("x"), MAX_POWER_TERMS - 1
+    # on one generator x^n reaches C(n + 1, 1) = n + 1 monomials
+    assert x ** n == line().poly({(n,): ComplexRational(1)})
+    with pytest.raises(UnsupportedError, match="exceeds the cap of"):
+        x ** MAX_POWER_TERMS
+    z = disk().gen("z") + disk().gen("adj(z)") + 1
+    with pytest.raises(UnsupportedError, match=r"C\(3000\*1 \+ 2, 2\)"):
+        z ** 3000
+    # constants and zero never grow
+    assert line().scalar(2) ** 5000 == 2 ** 5000
+    assert line().zero() ** 5000 == 0
 
 
 def test_poly_basics():

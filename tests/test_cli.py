@@ -250,8 +250,13 @@ def test_gns_basis_cap_exits_one_at_once(files, command):
      "Bernstein degree 100000"),
     (["approx", "--target", "exp", "--epsilon", "1e-300",
       "--max-degree", "100000000"], "up to degree 100000000"),
+    (["eval", "disk", "--poly", "(z+adj(z)+1)^3000", "--char", "z=1"],
+     "power expansion to C(3000*1 + 2, 2) monomials"),
+    (["nilpotent", "line", "--poly", "x", "--box", "x=[0,1]",
+      "--samples", "100000000"], "sample count 100000000"),
 ], ids=["disk-table", "line-table", "plane-grid", "error-grid", "basis-matrix",
-        "degree-past-cap", "degree-huge", "search-past-cap"])
+        "degree-past-cap", "degree-huge", "search-past-cap", "power-huge",
+        "samples-huge"])
 def test_size_caps_exit_one_at_once(files, argv, what):
     # before the caps these ended in OverflowError, MemoryError or a hang
     argv = [files.get(a, a) for a in argv]
