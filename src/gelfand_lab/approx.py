@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
 from .errors import AlgebraError, UnsupportedError, check_cap
@@ -38,6 +36,7 @@ MAX_GRID_POINTS = 2 ** 21  # seminorm grid: resolution^dim points
 MAX_BERNSTEIN_DEGREE = 1024  # a power of two, so the doubling search reaches it
 MAX_ERROR_GRID = 2 ** 22  # Bernstein error grid: resolution^dim points
 MAX_BASIS_ENTRIES = 2 ** 24  # Bernstein basis matrix: resolution*(degree + 1)
+MAX_BERNSTEIN_NODES = 2 ** 16  # Bernstein node tensor: (degree + 1)^dim
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +213,7 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
                                 lower_sq=max_sq, upper_exact=upper_exact)
     if subject.dim != box.dimension():
         raise AlgebraError("target dimension does not match the box")
+    import numpy as np
     axes = [np.linspace(float(lo), float(hi), resolution)
             for lo, hi in box.intervals]
     best = 0.0
@@ -238,6 +238,7 @@ def _basis_matrix(n: int, points: np.ndarray) -> np.ndarray:
     Direct products of nonnegative factors; no cancellation, so this stays
     accurate where the expanded monomial form would be hopeless.
     """
+    import numpy as np
     ks = np.arange(n + 1)
     combs = np.array([float(math.comb(n, k)) for k in ks])
     t = points.reshape(-1, 1)
@@ -270,6 +271,7 @@ class BernsteinResult:
         dim = len(self.pres.generators)
         if len(point) != dim:
             raise AlgebraError(f"expected {dim} coordinates")
+        import numpy as np
         bases = [_basis_matrix(n, np.array([float(t)]))[0] for t in point]
         total = 0j
         for key, val in self._values.items():
@@ -310,6 +312,9 @@ def bernstein_approx(f: TargetFunction, n: int,
         box_iv = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
         if len(box_iv) != dim:
             raise AlgebraError("interval count does not match target dimension")
+    check_cap(f"Bernstein node tensor of {n + 1}^{dim} nodes",
+              (n + 1) ** dim, MAX_BERNSTEIN_NODES)
+    import numpy as np
 
     # node values, exactly when the target supports it
     nodes = [[lo + (hi - lo) * Fraction(k, n) for k in range(n + 1)]

@@ -25,8 +25,6 @@ import json
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import approx, spectrum, states
 from .algebra import (MODE_ALGEBRA, MODE_STAR, Morphism, StarPresentation,
                       free_star, underlying)
@@ -361,6 +359,7 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
     if model.exact and model.null_space:
         lines.append("null space: "
                      + ", ".join(format_poly(p) for p in model.null_polys()))
+    import numpy as np
     for name in ops:
         matrix = states.multiplication_operator(model, name)
         eigs = sorted(np.linalg.eigvals(matrix),

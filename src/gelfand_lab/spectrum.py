@@ -33,6 +33,10 @@ UNBOUNDED_THRESHOLD = 1e9
 # characters one radical check draws; at the cap a degree-5 disk polynomial
 # takes about 7 s
 MAX_SAMPLES = 2 ** 15
+# powers one nilpotency search takes; each power is also held to
+# algebra.MAX_POWER_TERMS terms, and at both caps a dense degree-9 line
+# element takes about 10 s
+MAX_NILPOTENT_BOUND = 256
 
 
 def _abs(v: Value) -> float:
@@ -493,11 +497,14 @@ def is_nilpotent(a: StarPoly, bound: int = 16) -> tuple[bool, int | None]:
     proof of nilpotency, and its failure up to the bound is a proof that no
     exponent that small works.
     """
+    check_cap(f"nilpotency bound {bound}", bound, MAX_NILPOTENT_BOUND)
     power = a.pres.one()
     for n in range(1, bound + 1):
         power = power * a
         if power.is_zero():
             return True, n
+        check_cap(f"nilpotency search: power {n} with {len(power.terms)} terms",
+                  len(power.terms), algebra.MAX_POWER_TERMS)
     return False, None
 
 
@@ -525,6 +532,7 @@ def radical_vanishing_check(a: StarPoly, sampler: Union[BoxSampler, GridSampler]
     if count < 1:
         raise AlgebraError(f"sample count must be at least 1, got {count}")
     check_cap(f"sample count {count}", count, MAX_SAMPLES)
+    nilpotent, exponent = is_nilpotent(a, nilpotent_bound)
     chars = sampler.sample(count)
     max_abs = 0.0
     witness: Character | None = None
@@ -534,6 +542,5 @@ def radical_vanishing_check(a: StarPoly, sampler: Union[BoxSampler, GridSampler]
         max_abs = max(max_abs, mag)
         if witness is None and not _is_zero(v, tolerance):
             witness = p
-    nilpotent, exponent = is_nilpotent(a, nilpotent_bound)
     return RadicalReport(witness is None, len(chars), max_abs, witness,
                          nilpotent, exponent)

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-import numpy as np
-
 from . import spectrum
 from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
 from .errors import AlgebraError, GnsError, StateError, UnsupportedError
@@ -140,6 +138,7 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         name, density_fn = density, lambda _point: inv_vol
     else:
         name, density_fn = getattr(density, "__name__", "callable"), density
+    import numpy as np
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     per_axis: list[list[tuple[float, float]]] = []
     for lo, hi in box.intervals:
@@ -305,6 +304,7 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
                 if gram[i][j] != gram[j][i].conjugate():
                     raise GnsError("Gram matrix is not Hermitian")
         return GnsModel(state, degree, basis, gram, True, moments=moments)
+    import numpy as np
     arr = np.array([[complex(v) for v in row] for row in entries], dtype=complex)
     scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
@@ -379,6 +379,7 @@ def _gns_exact(model: GnsModel) -> GnsModel:
 
 
 def _gns_float(model: GnsModel) -> GnsModel:
+    import numpy as np
     gram = model.gram
     n = len(model.basis)
     scale = max(1.0, float(np.max(np.linalg.eigvalsh(gram)))) if n else 1.0
@@ -430,6 +431,7 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     the true operator onto the model space, and its final row/column carries
     that truncation leakage rather than hiding it.
     """
+    import numpy as np
     completed = gns_basis(model)
     pres = completed.pres
     idx = pres.generator_index(generator)

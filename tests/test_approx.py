@@ -215,6 +215,18 @@ def test_bernstein_rejects_bad_requests():
                                    error_resolution=resolution)
 
 
+def test_bernstein_node_cap_raises_before_any_node():
+    calls = []
+    cube = TargetFunction("cube", 3, fn=lambda p: calls.append(p) or 0.0)
+    # 1025^3 nodes: the degree, the error grid and the basis are in range
+    with pytest.raises(UnsupportedError, match="node tensor of 1025\\^3 nodes"):
+        gl.bernstein_approx(cube, approx.MAX_BERNSTEIN_DEGREE)
+    assert calls == []
+    # 256^2 nodes is the cap
+    with pytest.raises(UnsupportedError, match="257\\^2 nodes"):
+        gl.bernstein_approx(TargetFunction("plane", 2, fn=lambda p: 0.0), 256)
+
+
 def reference_bernstein(f, n, intervals, resolution):
     """Expansion by per-term ComplexRational multiply-adds, and the float
     error grid indexed point by point: the tables the integer contraction

@@ -254,9 +254,13 @@ def test_gns_basis_cap_exits_one_at_once(files, command):
      "power expansion to C(3000*1 + 2, 2) monomials"),
     (["nilpotent", "line", "--poly", "x", "--box", "x=[0,1]",
       "--samples", "100000000"], "sample count 100000000"),
+    (["nilpotent", "line", "--poly", "x+1", "--bound", "100000"],
+     "nilpotency bound 100000"),
+    (["nilpotent", "disk", "--poly", "z+adj(z)+1", "--bound", "100"],
+     "power 70 with 2556 terms"),
 ], ids=["disk-table", "line-table", "plane-grid", "error-grid", "basis-matrix",
         "degree-past-cap", "degree-huge", "search-past-cap", "power-huge",
-        "samples-huge"])
+        "samples-huge", "nilpotent-bound", "nilpotent-terms"])
 def test_size_caps_exit_one_at_once(files, argv, what):
     # before the caps these ended in OverflowError, MemoryError or a hang
     argv = [files.get(a, a) for a in argv]

@@ -5,7 +5,7 @@ import pytest
 
 import gelfand_lab as gl
 from gelfand_lab import (BoxSampler, Character, CompactBox, ComplexRational,
-                         GridSampler, SampleSet)
+                         GridSampler, SampleSet, spectrum)
 from gelfand_lab.cli import canonical_box, canonical_presentation, main
 from gelfand_lab.errors import (AlgebraError, CharacterError,
                                 UnsupportedError)
@@ -278,6 +278,22 @@ def test_is_nilpotent():
         "algebra C ; generator x : selfadjoint ; relation x^3 ;")
     a = gl.parse_poly("x + x^2", cube)
     assert gl.is_nilpotent(a) == (True, 3)
+
+
+def test_nilpotency_search_caps_raise_at_once():
+    a = gl.parse_poly("x + 1", line())
+    with pytest.raises(UnsupportedError, match="nilpotency bound 257"):
+        gl.is_nilpotent(a, spectrum.MAX_NILPOTENT_BOUND + 1)
+    # the cap is checked before any character is drawn
+    box = gl.parse_box("x = [-1, 1]", line())
+    with pytest.raises(UnsupportedError, match="nilpotency bound"):
+        gl.radical_vanishing_check(a, BoxSampler(box, seed=1), count=10 ** 4,
+                                   nilpotent_bound=10 ** 6)
+    # (x + y + 1)^n has C(n + 2, 2) terms: 2485 at n = 69, 2556 at n = 70
+    b = gl.parse_poly("x + y + 1", gl.parse_presentation(
+        "algebra Plane ; generator x, y : selfadjoint ;"))
+    with pytest.raises(UnsupportedError, match="power 70 with 2556 terms"):
+        gl.is_nilpotent(b, spectrum.MAX_NILPOTENT_BOUND)
 
 
 def test_radical_vanishing_on_nil():
