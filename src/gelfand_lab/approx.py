@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
-from .errors import AlgebraError, UnsupportedError, check_cap
+from .errors import AlgebraError, UnsupportedError, check_cap, require_numpy
 from .scalars import (ComplexRational, from_numerators, sqrt_to_float, to_float,
                       to_numerators)
 from .spectrum import CompactBox, coefficient_bound
@@ -213,7 +213,7 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
                                 lower_sq=max_sq, upper_exact=upper_exact)
     if subject.dim != box.dimension():
         raise AlgebraError("target dimension does not match the box")
-    import numpy as np
+    np = require_numpy()
     axes = [np.linspace(float(lo), float(hi), resolution)
             for lo, hi in box.intervals]
     best = 0.0
@@ -238,7 +238,7 @@ def _basis_matrix(n: int, points: np.ndarray) -> np.ndarray:
     Direct products of nonnegative factors; no cancellation, so this stays
     accurate where the expanded monomial form would be hopeless.
     """
-    import numpy as np
+    np = require_numpy()
     ks = np.arange(n + 1)
     combs = np.array([float(math.comb(n, k)) for k in ks])
     t = points.reshape(-1, 1)
@@ -271,7 +271,7 @@ class BernsteinResult:
         dim = len(self.pres.generators)
         if len(point) != dim:
             raise AlgebraError(f"expected {dim} coordinates")
-        import numpy as np
+        np = require_numpy()
         bases = [_basis_matrix(n, np.array([float(t)]))[0] for t in point]
         total = 0j
         for key, val in self._values.items():
@@ -314,7 +314,7 @@ def bernstein_approx(f: TargetFunction, n: int,
             raise AlgebraError("interval count does not match target dimension")
     check_cap(f"Bernstein node tensor of {n + 1}^{dim} nodes",
               (n + 1) ** dim, MAX_BERNSTEIN_NODES)
-    import numpy as np
+    np = require_numpy()
 
     # node values, exactly when the target supports it
     nodes = [[lo + (hi - lo) * Fraction(k, n) for k in range(n + 1)]
@@ -353,7 +353,9 @@ def bernstein_approx(f: TargetFunction, n: int,
     for key, val in float_vals.items():
         tensor_f[key] = val
     spec_map = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}
-    approx_vals = np.einsum(spec_map[dim], *basis_per_axis, tensor_f)
+    # three axes contract one at a time; a single 7-index loop took seconds
+    approx_vals = np.einsum(spec_map[dim], *basis_per_axis, tensor_f,
+                            optimize=dim == 3)
     mapped_axes = []
     for (lo, hi), ax in zip(box_iv, axes01):
         lo_f, hi_f = float(lo), float(hi)

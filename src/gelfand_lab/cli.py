@@ -28,7 +28,7 @@ from typing import Sequence
 from . import approx, spectrum, states
 from .algebra import (MODE_ALGEBRA, MODE_STAR, Morphism, StarPresentation,
                       free_star, underlying)
-from .errors import CharacterError, GelfandError, GnsError
+from .errors import CharacterError, GelfandError, GnsError, require_numpy
 from .parsing import (format_character, format_poly, format_terms, parse_box,
                       parse_character, parse_morphism, parse_poly,
                       parse_presentation, parse_state)
@@ -221,18 +221,22 @@ def cmd_pushforward(args) -> tuple[dict, list[str], int]:
 def cmd_nilpotent(args) -> tuple[dict, list[str], int]:
     pres = _load(args)
     poly = parse_poly(args.poly, pres)
-    nil, exponent = spectrum.is_nilpotent(poly, bound=args.bound)
     echo = {**presentation_echo(pres), "poly": format_poly(poly)}
-    lines = [f"nilpotent: {str(nil).lower()}"
-             + (f" (exponent {exponent})" if nil else f" (bound {args.bound})")]
     radical = None
-    if args.box is not None:
+    if args.box is None:
+        nil, exponent = spectrum.is_nilpotent(poly, bound=args.bound)
+    else:
+        # the radical check runs the same nilpotency search; read it there
         box = parse_box(args.box, pres)
         echo["box"] = canonical_box(box)
         sampler = spectrum.BoxSampler(box, seed=args.seed)
         radical = spectrum.radical_vanishing_check(
             poly, sampler, count=args.samples, tolerance=args.tolerance,
             nilpotent_bound=args.bound)
+        nil, exponent = radical.nilpotent, radical.exponent
+    lines = [f"nilpotent: {str(nil).lower()}"
+             + (f" (exponent {exponent})" if nil else f" (bound {args.bound})")]
+    if radical is not None:
         verdict = "vanishes on all samples" if radical.vanishes \
             else "nonzero witness found"
         lines.append(f"radical sampling: {verdict} "
@@ -359,7 +363,7 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
     if model.exact and model.null_space:
         lines.append("null space: "
                      + ", ".join(format_poly(p) for p in model.null_polys()))
-    import numpy as np
+    np = require_numpy()
     for name in ops:
         matrix = states.multiplication_operator(model, name)
         eigs = sorted(np.linalg.eigvals(matrix),

@@ -74,3 +74,14 @@ def check_cap(what: str, size: int, cap: int) -> None:
     """UnsupportedError when a requested size is past its cap."""
     if size > cap:
         raise UnsupportedError(f"{what} exceeds the cap of {cap}")
+
+
+def require_numpy():
+    """The numpy module, which the float paths need; UnsupportedError
+    naming it when it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        raise UnsupportedError("this float computation needs numpy, which is "
+                               "not installed") from None
+    return numpy

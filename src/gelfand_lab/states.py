@@ -11,7 +11,8 @@ The GNS model is built degree by degree: the Gram matrix of the pairing
 E(adj(a) * b) on irreducible monomials up to the chosen degree, its null
 space (the zero-length directions that the quotient removes), and an
 orthonormal basis of the complement.  Every entry is read from a per-model
-moment table, so each distinct moment is evaluated once.  On exact states
+moment table, so each distinct moment is evaluated once, by the state's
+``moment`` on the raw product monomial.  On exact states
 everything up to the final normalization square roots is rational
 arithmetic, so null vectors like x^2 - 1 come out exactly.
 """
@@ -26,10 +27,12 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import spectrum
 from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
-from .errors import AlgebraError, GnsError, StateError, UnsupportedError
+from .errors import (AlgebraError, GnsError, StateError, UnsupportedError,
+                     require_numpy)
 from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
                       to_float, to_numerators)
-from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
+from .spectrum import (Character, CompactBox, axis_layout, eval_terms, format_value,
+                       gelfand_eval)
 
 Value = Union[ComplexRational, complex]
 
@@ -53,6 +56,7 @@ class State:
     densely_defined: bool
     source: str  # canonical state text, read back by parse_state
     functional: Callable[[StarPoly], Value]  # a -> E(a)
+    moment: Callable[[Monomial], Value]  # raw monomial m -> E(m)
 
     def expect(self, a: StarPoly) -> Value:
         return expect(self, a)
@@ -72,7 +76,71 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
             total = total + (v if exact else complex(v)) * w
         return total
 
-    return State(kind, pres, exact, False, source, functional)
+    if exact:
+        moment = _exact_point_moment(pairs)
+    elif not pres.rules():
+        moment = _float_point_moment(pairs)
+    else:  # float points need not satisfy the relations exactly
+        moment = _normal_form_moment(pres, functional)
+    return State(kind, pres, exact, False, source, functional, moment)
+
+
+def _normal_form_moment(pres: StarPresentation,
+                        functional: Callable[[StarPoly], Value]):
+    """E(m) as the functional's value on the normal form of m."""
+    return lambda mono: functional(pres.poly({mono: ONE}))
+
+
+def _exact_point_moment(pairs: Sequence[tuple[Character, Fraction]]):
+    """E(m) on the raw monomial m at exact points.
+
+    An exact character satisfies every relation exactly, so its value on m
+    is its value on the normal form of m.  Each point is held once as
+    Gaussian-integer numerators over its own denominator den, so a point
+    contributes w * prod(num_i ** e_i) / den ** |m|; the contributions are
+    summed over the lcm of their denominators.
+    """
+    points = []
+    for char, w in pairs:
+        den, re, im = to_numerators(char.values)
+        points.append((den, tuple(zip(re, im)), w.numerator, w.denominator))
+
+    def moment(mono: Monomial) -> ComplexRational:
+        degree = sum(mono)
+        terms = []
+        for den, nums, x, w_den in points:
+            y = 0
+            for (a, b), e in zip(nums, mono):
+                if not e:
+                    continue
+                if b:
+                    for _ in range(e):
+                        x, y = x * a - y * b, x * b + y * a
+                else:
+                    p = a ** e
+                    x, y = x * p, y * p
+            terms.append((x, y, w_den * den ** degree))
+        common = math.lcm(*(d for _, _, d in terms))
+        re = sum(x * (common // d) for x, _, d in terms)
+        im = sum(y * (common // d) for _, y, d in terms)
+        return from_numerators(common, [re], [im])[0]
+
+    return moment
+
+
+def _float_point_moment(pairs: Sequence[tuple[Character, float]]):
+    """E(m) on the raw monomial m at float points of a relation-free
+    presentation, where m is its own normal form: the functional's float
+    operations in the same order, so the value is bit-identical."""
+
+    def moment(mono: Monomial) -> complex:
+        terms = ((mono, ONE),)
+        total = 0j
+        for char, w in pairs:
+            total = total + eval_terms(terms, char.values, False) * w
+        return total
+
+    return moment
 
 
 def atomic_state(pres: StarPresentation,
@@ -138,7 +206,7 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         name, density_fn = density, lambda _point: inv_vol
     else:
         name, density_fn = getattr(density, "__name__", "callable"), density
-    import numpy as np
+    np = require_numpy()
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     per_axis: list[list[tuple[float, float]]] = []
     for lo, hi in box.intervals:
@@ -208,7 +276,8 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
         return total
 
     return State("analytic", pres, True, True,
-                 f"state gaussian({pres.generators[idx]})", functional)
+                 f"state gaussian({pres.generators[idx]})", functional,
+                 _normal_form_moment(pres, functional) if pres.rules() else moment)
 
 
 def expect(state: State, a: StarPoly) -> Value:
@@ -274,7 +343,7 @@ def _moment(moments: dict[Monomial, Value], state: State, mono: Monomial) -> Val
     """E(mono), read from the moment table or evaluated once and stored."""
     value = moments.get(mono)
     if value is None:
-        value = moments[mono] = state.functional(state.pres.poly({mono: ONE}))
+        value = moments[mono] = state.moment(mono)
     return value
 
 
@@ -304,7 +373,7 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
                 if gram[i][j] != gram[j][i].conjugate():
                     raise GnsError("Gram matrix is not Hermitian")
         return GnsModel(state, degree, basis, gram, True, moments=moments)
-    import numpy as np
+    np = require_numpy()
     arr = np.array([[complex(v) for v in row] for row in entries], dtype=complex)
     scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
@@ -329,11 +398,14 @@ def _gns_exact(model: GnsModel) -> GnsModel:
     # den.  G is Hermitian and the kept vectors u are G-orthogonal, so the
     # projection coefficient of v on u is conj((G u)[j]) / (G u)[slot of u],
     # here conj(u[n + j]) / pivot, and the squared length of v is v[n + j].
+    # On a real G every imaginary numerator stays 0, so only v_re moves.
+    real = not any(g_im)
+    zeros = [0] * (2 * n)
     ortho: list[tuple[list[int], list[int], int, int]] = []
     null: list[tuple[ComplexRational, ...]] = []
     for j in range(n):
         v_re = [int(i == j) for i in range(n)] + g_re[j::n]
-        v_im = [0] * n + g_im[j::n]
+        v_im = zeros if real else [0] * n + g_im[j::n]
         den = 1
         for u_re, u_im, u_den, pivot in ortho:
             c_re, c_im = u_re[n + j], -u_im[n + j]
@@ -345,14 +417,19 @@ def _gns_exact(model: GnsModel) -> GnsModel:
             keep, take = u_scale // g, den // g
             t_re, t_im = take * c_re, take * c_im
             den *= keep
-            v_re, v_im = (
-                [keep * x - t_re * y + t_im * z for x, y, z in zip(v_re, u_re, u_im)],
-                [keep * x - t_re * z - t_im * y for x, y, z in zip(v_im, u_re, u_im)])
-            g = math.gcd(den, *v_re, *v_im)
+            if real:
+                v_re = [keep * x - t_re * y for x, y in zip(v_re, u_re)]
+                g = math.gcd(den, *v_re)
+            else:
+                v_re, v_im = (
+                    [keep * x - t_re * y + t_im * z for x, y, z in zip(v_re, u_re, u_im)],
+                    [keep * x - t_re * z - t_im * y for x, y, z in zip(v_im, u_re, u_im)])
+                g = math.gcd(den, *v_re, *v_im)
             if g > 1:
                 den //= g
                 v_re = [x // g for x in v_re]
-                v_im = [x // g for x in v_im]
+                if not real:
+                    v_im = [x // g for x in v_im]
         if v_im[n + j]:
             raise GnsError("Gram pairing produced a non-real squared length")
         pivot = v_re[n + j]
@@ -379,7 +456,7 @@ def _gns_exact(model: GnsModel) -> GnsModel:
 
 
 def _gns_float(model: GnsModel) -> GnsModel:
-    import numpy as np
+    np = require_numpy()
     gram = model.gram
     n = len(model.basis)
     scale = max(1.0, float(np.max(np.linalg.eigvalsh(gram)))) if n else 1.0
@@ -431,7 +508,7 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     the true operator onto the model space, and its final row/column carries
     that truncation leakage rather than hiding it.
     """
-    import numpy as np
+    np = require_numpy()
     completed = gns_basis(model)
     pres = completed.pres
     idx = pres.generator_index(generator)

@@ -288,6 +288,16 @@ def test_bernstein_matches_reference_expansion(f, n, intervals, resolution):
     assert result.error.lower == error
 
 
+def test_bernstein_cube_error_grid_matches_single_contraction():
+    # three axes contract one at a time; the float error stays within
+    # 1e-12 of the single 7-index contraction on the default 23^3 grid
+    f = TargetFunction("cube", 3, fn=lambda p: complex(math.sin(p[0]) * p[1], p[2] ** 2))
+    intervals = [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)]
+    result = gl.bernstein_approx(f, 3, intervals=intervals)
+    _, error = reference_bernstein(f, 3, intervals, 23)
+    assert result.error.lower == pytest.approx(error, rel=1e-12)
+
+
 def test_density_witness():
     f = gl.catalog_target("abs-shift")
     result = gl.density_witness(f, epsilon=0.05, error_resolution=501)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gelfand_lab import spectrum
 from gelfand_lab.cli import main
 
 LINE = "algebra Line ;\ngenerator x : selfadjoint ;\n"
@@ -130,6 +131,22 @@ def test_nilpotent_with_radical_sampling(files, capsys):
     assert doc["nilpotent"] is False
     assert doc["radical"]["vanishes"] is False
     assert doc["radical"]["witness"] is not None
+
+
+@pytest.mark.parametrize("box", [[], ["--box", "x = [-1, 1]", "--samples", "5"]],
+                         ids=["plain", "box"])
+def test_nilpotent_searches_once(files, capsys, monkeypatch, box):
+    calls = []
+    search = spectrum.is_nilpotent
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "is_nilpotent", counted)
+    code, doc, _ = run_json(capsys, "nilpotent", files["line"], "--poly", "x", *box)
+    assert code == 0 and doc["nilpotent"] is False
+    assert len(calls) == 1
 
 
 def test_seminorm_report(files, capsys):

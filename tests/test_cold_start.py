@@ -1,4 +1,5 @@
-"""The exact subcommands run, and give the same bytes, without numpy.
+"""The exact subcommands run, and give the same bytes, without numpy; the
+float subcommands exit 1 with an error that names numpy.
 
 Each check starts a fresh interpreter that sets ``sys.modules["numpy"] =
 None`` before importing the package, so any ``import numpy`` on the path
@@ -105,3 +106,14 @@ def test_float_command_runs_with_numpy(workdir, name):
     proc = cli(FLOAT[name], workdir)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("{")
+
+
+@pytest.mark.parametrize("name", list(FLOAT))
+def test_float_command_without_numpy_exits_one(workdir, name):
+    argv = FLOAT[name] + ["--json"]
+    proc = child(BLOCKED + f"import gelfand_lab.cli; sys.exit(gelfand_lab.cli.main({argv!r}))",
+                 workdir)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "needs numpy" in proc.stderr

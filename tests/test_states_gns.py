@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
@@ -11,7 +14,7 @@ from gelfand_lab.algebra import raw_involute, raw_mul
 from gelfand_lab.errors import AlgebraError, GnsError, StateError
 from gelfand_lab.scalars import ONE
 
-from helpers import disk, line, nil, rand_poly, rand_scalar
+from helpers import circle, disk, line, nil, rand_poly, rand_scalar
 
 # ---------------------------------------------------------------------------
 # test-local oracle: plain-Fraction Gram-Schmidt over a Hankel moment matrix.
@@ -500,6 +503,89 @@ def test_moment_tables_are_per_model():
 
 
 # ---------------------------------------------------------------------------
+# State.moment on raw monomials against the functional on the normal form
+# ---------------------------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def rational_atomic_states(draw):
+    """An exact atomic state on the line, the disk or the circle, and a raw
+    monomial that the circle's rule z*adj(z) -> 1 may reduce."""
+    kind = draw(st.sampled_from(["line", "disk", "circle"]))
+    pres = {"line": line, "disk": disk, "circle": circle}[kind]()
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        if kind == "line":
+            point = {"x": ComplexRational(draw(small_rationals))}
+        elif kind == "disk":
+            point = {"z": ComplexRational(draw(small_rationals), draw(small_rationals))}
+        else:  # the rational point ((1 - t^2) + 2t i) / (1 + t^2) of the circle
+            t = draw(small_rationals)
+            point = {"z": ComplexRational((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))}
+        atoms.append((point, draw(st.integers(1, 4))))
+    mono = tuple(draw(st.integers(0, 6)) for _ in pres.generators)
+    return gl.atomic_state(pres, atoms, rescale=True), mono
+
+
+@given(rational_atomic_states())
+def test_exact_point_moment_equals_functional(case):
+    state, mono = case
+    value = state.moment(mono)
+    assert isinstance(value, ComplexRational)
+    assert value == state.functional(state.pres.poly({mono: ONE}))
+
+
+@st.composite
+def float_point_states(draw):
+    """A uniform quadrature state or float atoms, on the line or the disk."""
+    pres = draw(st.sampled_from([line, disk]))()
+    axes = 1 if pres.generators == ("x",) else 2
+    if draw(st.booleans()):
+        spans = []
+        for _ in range(axes):
+            lo, width = draw(small_rationals), draw(st.integers(1, 3))
+            spans.append(f"[{lo}, {lo + width}]")
+        box = gl.parse_box(f"{pres.generators[0]} = {' x '.join(spans)}", pres)
+        state = gl.quadrature_state(pres, box, "uniform", draw(st.integers(1, 5)))
+    else:
+        coords = st.floats(min_value=-3, max_value=3, allow_nan=False)
+        atoms = [({pres.generators[0]: complex(draw(coords), draw(coords) if axes == 2 else 0)},
+                  Fraction(1))
+                 for _ in range(draw(st.integers(1, 4)))]
+        state = gl.atomic_state(pres, atoms, rescale=True)
+    return state, tuple(draw(st.integers(0, 7)) for _ in pres.generators)
+
+
+@given(float_point_states())
+def test_float_point_moment_is_bit_identical(case):
+    state, mono = case
+    assert not state.exact
+    value = state.moment(mono)
+    expected = state.functional(state.pres.poly({mono: ONE}))
+    assert (value.real.hex(), value.imag.hex()) == \
+        (expected.real.hex(), expected.imag.hex())
+
+
+def test_gaussian_moment_reduces_under_rules():
+    # x^3 -> x, so E(x^4) is E(x^2) = 1, not the raw Gaussian moment 3
+    pres = gl.parse_presentation("algebra R ; generator x : selfadjoint ; relation x^3 - x ;")
+    state = gl.gaussian_state(pres)
+    assert state.moment((4,)) == 1 and state.moment((3,)) == 0
+    assert gl.gaussian_state(line()).moment((4,)) == 3
+
+
+def test_float_atoms_under_rules_use_the_normal_form():
+    # a float atom meets z*adj(z) = 1 only within tolerance, so E(z*adj(z))
+    # is read off the normal form 1, not off the raw product
+    z = complex(0.6, 0.8000000000000002)
+    state = gl.atomic_state(circle(), [({"z": z}, 1)])
+    assert state.moment((1, 1)) == 1
+    assert z * z.conjugate() != 1
+
+
+# ---------------------------------------------------------------------------
 # exact Gram-Schmidt against the inner-product reference
 # ---------------------------------------------------------------------------
 
@@ -570,6 +656,49 @@ def test_gns_exact_matches_inner_product_reference(seed):
         null, orthonormal = reference_gns_exact(model.gram)
         assert model.null_space == null
         assert model.orthonormal == orthonormal
+
+
+UNITS = [ComplexRational(1), ComplexRational(0, 1), ComplexRational(-1),
+         ComplexRational(0, -1)]
+
+
+def _rotate(z, k):
+    """i^k * z, exactly, for a float or an exact complex."""
+    if isinstance(z, ComplexRational):
+        return UNITS[k % 4] * z
+    for _ in range(k % 4):
+        z = complex(-z.imag, z.real)
+    return z
+
+
+def _twist_vectors(vectors):
+    """Each vector v with last nonzero slot j as i^(j - a) * v[a]."""
+    out = []
+    for v in vectors:
+        j = max(a for a, c in enumerate(v) if c)
+        out.append(tuple(_rotate(c, j - a) for a, c in enumerate(v)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gns_exact_real_update_matches_complex_update(seed):
+    # D^H G D with D = diag(i^k) turns the odd off-diagonals of a real Gram
+    # matrix imaginary, so it takes the complex update; its vectors are the
+    # real ones times i^(j - a), and the floats only swap and negate
+    rng = Random(seed)
+    points = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+              for _ in range(rng.randint(2, 5))]
+    state = gl.atomic_state(line(), [({"x": _q(p)}, 1) for p in points], rescale=True)
+    model = gl.gram_matrix(state, rng.randint(1, 6))
+    n = len(model.basis)
+    twisted = tuple(tuple(_rotate(model.gram[a][b], b - a) for b in range(n))
+                    for a in range(n))
+    assert all(z.is_real() for row in model.gram for z in row)
+    assert not all(z.is_real() for row in twisted for z in row)
+    real = gl.gns_basis(model)
+    general = gl.gns_basis(replace(model, gram=twisted))
+    assert general.null_space == _twist_vectors(real.null_space)
+    assert general.orthonormal == _twist_vectors(real.orthonormal)
 
 
 def _hand_built(gram):
