@@ -78,10 +78,13 @@ def check_cap(what: str, size: int, cap: int) -> None:
 
 def require_numpy():
     """The numpy module, which the float paths need; UnsupportedError
-    naming it when it is not installed."""
+    naming it when it is not installed or fails to import."""
     try:
         import numpy
-    except ImportError:
-        raise UnsupportedError("this float computation needs numpy, which is "
-                               "not installed") from None
+    except ImportError as exc:
+        if isinstance(exc, ModuleNotFoundError) and exc.name == "numpy":
+            raise UnsupportedError("this float computation needs numpy, which "
+                                   "is not installed") from None
+        raise UnsupportedError(f"this float computation needs numpy, which "
+                               f"failed to import: {exc}") from exc
     return numpy

@@ -67,9 +67,7 @@ class Character:
         return self.values[self.pres.generator_index(which)]
 
 
-def eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
-    """Sum of c * prod(values[i] ** e_i) over (monomial, c) terms: exact, or
-    in floats with AlgebraError on overflow."""
+def _eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
     if exact:
         return algebra.substitute(terms, values, ComplexRational(0))
     try:
@@ -148,7 +146,7 @@ def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
                         f"conjugate of the value of {g!r}", "conjugacy")
 
     for k, rel in enumerate(pres.relations):
-        out = eval_terms(rel, values, exact)
+        out = _eval_terms(rel, values, exact)
         if not _is_zero(out, tolerance):
             raise CharacterError(f"relation {k} is violated by the assignment",
                                  "relation")
@@ -162,7 +160,7 @@ def gelfand_eval(a: StarPoly, p: Character) -> Value:
     """
     if a.pres != p.pres:
         raise AlgebraError("element and character live over different presentations")
-    return eval_terms(a.terms, p.values, p.exact)
+    return _eval_terms(a.terms, p.values, p.exact)
 
 
 def separating_generator(p: Character, q: Character) -> str | None:

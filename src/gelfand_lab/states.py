@@ -31,8 +31,7 @@ from .errors import (AlgebraError, GnsError, StateError, UnsupportedError,
                      require_numpy)
 from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
                       to_float, to_numerators)
-from .spectrum import (Character, CompactBox, axis_layout, eval_terms, format_value,
-                       gelfand_eval)
+from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
 
 Value = Union[ComplexRational, complex]
 
@@ -76,18 +75,18 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
             total = total + (v if exact else complex(v)) * w
         return total
 
-    if exact:
-        moment = _exact_point_moment(pairs)
-    elif not pres.rules():
-        moment = _float_point_moment(pairs)
-    else:  # float points need not satisfy the relations exactly
-        moment = _normal_form_moment(pres, functional)
+    # float points need not satisfy the relations exactly
+    moment = _exact_point_moment(pairs) if exact \
+        else _normal_form_moment(pres, functional)
     return State(kind, pres, exact, False, source, functional, moment)
 
 
 def _normal_form_moment(pres: StarPresentation,
                         functional: Callable[[StarPoly], Value]):
-    """E(m) as the functional's value on the normal form of m."""
+    """E(m) as the functional's value on the normal form of m, which is m
+    itself when the presentation has no rules."""
+    if not pres.rules():
+        return lambda mono: functional(StarPoly(pres, ((mono, ONE),)))
     return lambda mono: functional(pres.poly({mono: ONE}))
 
 
@@ -124,21 +123,6 @@ def _exact_point_moment(pairs: Sequence[tuple[Character, Fraction]]):
         re = sum(x * (common // d) for x, _, d in terms)
         im = sum(y * (common // d) for _, y, d in terms)
         return from_numerators(common, [re], [im])[0]
-
-    return moment
-
-
-def _float_point_moment(pairs: Sequence[tuple[Character, float]]):
-    """E(m) on the raw monomial m at float points of a relation-free
-    presentation, where m is its own normal form: the functional's float
-    operations in the same order, so the value is bit-identical."""
-
-    def moment(mono: Monomial) -> complex:
-        terms = ((mono, ONE),)
-        total = 0j
-        for char, w in pairs:
-            total = total + eval_terms(terms, char.values, False) * w
-        return total
 
     return moment
 
@@ -275,6 +259,8 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
             total = total + coeff * moment(mono)
         return total
 
+    # the recurrence on the raw monomial skips the functional's scalar
+    # arithmetic; under rules the monomial must be reduced first
     return State("analytic", pres, True, True,
                  f"state gaussian({pres.generators[idx]})", functional,
                  _normal_form_moment(pres, functional) if pres.rules() else moment)

@@ -353,6 +353,17 @@ def test_state_check(files, capsys):
     assert doc["rank"] == 2 and doc["null_dimension"] == 3
 
 
+@pytest.mark.parametrize("command", ["gns", "state-check"])
+def test_state_with_exact_and_float_atoms(files, capsys, command):
+    # one exact and one float atom: the state, and so its moments, are float
+    code, doc, _ = run_json(
+        capsys, command, files["line"],
+        "--state", "state atomic { (x = 1/2) : 1/2 ; (x = 0.5) : 1/2 }",
+        "--degree", "2")
+    assert code == 0
+    assert doc["rank"] == 1
+
+
 def test_state_check_invalid_support_exit_two(files, capsys):
     code, _, err = run(capsys, "state-check", files["nil"],
                        "--state", "state atomic { (x = 1) : 1 }")

@@ -539,7 +539,8 @@ def test_exact_point_moment_equals_functional(case):
 
 @st.composite
 def float_point_states(draw):
-    """A uniform quadrature state or float atoms, on the line or the disk."""
+    """A uniform quadrature state, or float atoms beside which exact atoms
+    may sit, on the line or the disk."""
     pres = draw(st.sampled_from([line, disk]))()
     axes = 1 if pres.generators == ("x",) else 2
     if draw(st.booleans()):
@@ -554,6 +555,10 @@ def float_point_states(draw):
         atoms = [({pres.generators[0]: complex(draw(coords), draw(coords) if axes == 2 else 0)},
                   Fraction(1))
                  for _ in range(draw(st.integers(1, 4)))]
+        atoms += [({pres.generators[0]: ComplexRational(
+                       draw(small_rationals), draw(small_rationals) if axes == 2 else 0)},
+                   Fraction(1))
+                  for _ in range(draw(st.integers(0, 2)))]
         state = gl.atomic_state(pres, atoms, rescale=True)
     return state, tuple(draw(st.integers(0, 7)) for _ in pres.generators)
 
