@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, neg
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     AlgebraError,
@@ -42,7 +42,8 @@ IntTerms = tuple[tuple[Monomial, tuple[int, int]], ...]
 MODE_ALGEBRA = "algebra"
 MODE_STAR = "star-algebra"
 
-DEFAULT_REWRITE_BUDGET = 10**6
+# division steps one normalization may take
+MAX_REWRITE_STEPS = 10**6
 # monomials a power can reach, C(n*deg + k, k) on k generators.  The line is
 # the worst shape: at the cap (x^3 - x/2 + 2/3)^833 takes about 10 s
 MAX_POWER_TERMS = 2500
@@ -224,25 +225,23 @@ class RewriteStep:
 
 
 def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, ComplexRational],
-                    budget: int = DEFAULT_REWRITE_BUDGET,
                     record: bool = False) -> tuple[Terms, list[RewriteStep]]:
     """Reduce a raw table to normal form under the oriented rules.
 
     The division algorithm: take the graded-lex largest monomial left; if
     no rule lead divides it, it is final (a reduction only adds smaller
     monomials), otherwise subtract the shifted relation of the first rule
-    that divides it.  The budget only guards against pathologically large
+    that divides it.  MAX_REWRITE_STEPS guards against pathologically large
     intermediate expansions.  With ``record=True`` the returned steps express
     the difference between input and output as an explicit combination of
     shifted relations, which tests replay to certify soundness.
     """
     if not rules:
         return sort_terms(raw), []
-    return _reduce(rules, *_int_table(raw.items()), budget, record)
+    return _reduce(rules, *_int_table(raw.items()), record)
 
 
 def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
-            budget: int = DEFAULT_REWRITE_BUDGET,
             record: bool = False) -> tuple[Terms, list[RewriteStep]]:
     """The division loop of normalize_table on an integer table over den.
 
@@ -256,7 +255,7 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
     heapq.heapify(heap)
     normal: IntTable = {}
     steps: list[RewriteStep] = []
-    count = 0
+    count, cap = 0, MAX_REWRITE_STEPS
     while heap:
         mono = heapq.heappop(heap)[2]
         re, im = table.pop(mono)
@@ -267,9 +266,9 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
             normal[mono] = (re, im)
             continue
         count += 1
-        if count > budget:
+        if count > cap:
             raise RewriteBudgetError(
-                f"normalization exceeded {budget} rewrite steps "
+                f"normalization exceeds the cap of {cap} rewrite steps "
                 f"(last rule index {rule.index})")
         shift = mono_quotient(mono, rule.lead)
         if record:
@@ -324,11 +323,11 @@ class StarPresentation:
     """
 
     __slots__ = ("name", "mode", "generators", "adjoint", "relations",
-                 "_rules", "_key", "budget")
+                 "_rules", "_key")
 
     def __init__(self, name: str, mode: str, generators: tuple[str, ...],
                  adjoint: tuple[int | None, ...], relations: tuple[Terms, ...],
-                 rules: tuple[RewriteRule, ...], budget: int) -> None:
+                 rules: tuple[RewriteRule, ...]) -> None:
         # use assemble(); this constructor performs no validation
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "mode", mode)
@@ -336,7 +335,6 @@ class StarPresentation:
         object.__setattr__(self, "adjoint", adjoint)
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_rules", rules)
-        object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "_key", (mode, adjoint, relations))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -345,8 +343,8 @@ class StarPresentation:
     @classmethod
     def assemble(cls, name: str, mode: str, generators: Sequence[str],
                  adjoint: Sequence[int | None],
-                 relation_tables: Sequence[Mapping[Monomial, ComplexRational]],
-                 budget: int = DEFAULT_REWRITE_BUDGET) -> "StarPresentation":
+                 relation_tables: Sequence[Mapping[Monomial, ComplexRational]]
+                 ) -> "StarPresentation":
         generators = tuple(generators)
         adjoint = tuple(adjoint)
         if mode not in (MODE_ALGEBRA, MODE_STAR):
@@ -379,7 +377,7 @@ class StarPresentation:
                 canonical.append(terms)
         relations = tuple(canonical)
         rules = tuple(RewriteRule.orient(t, i) for i, t in enumerate(relations))
-        pres = cls(name, mode, generators, adjoint, relations, rules, budget)
+        pres = cls(name, mode, generators, adjoint, relations, rules)
 
         # confluence first: on a non-confluent system the closure check below
         # would blame the involution for what is really an unresolved overlap
@@ -387,7 +385,7 @@ class StarPresentation:
         if mode == MODE_STAR:
             for i, rel in enumerate(relations):
                 image = raw_involute(adjoint, dict(rel))
-                reduced, _ = normalize_table(rules, image, budget)
+                reduced, _ = normalize_table(rules, image)
                 if reduced:
                     raise PresentationError(
                         f"relation {i} is not matched under the involution; "
@@ -409,7 +407,7 @@ class StarPresentation:
                 for rule, sign in ((ri, 1), (rj, -1)):
                     _add_shifted(s_poly, rule.tail_ints, mono_quotient(lcm, rule.lead),
                                  sign * (den // rule.tail_den), 0)
-                reduced, _ = _reduce(rules, den, s_poly, self.budget)
+                reduced, _ = _reduce(rules, den, s_poly)
                 if reduced:
                     raise PresentationError(
                         f"relations {i} and {j} are not confluent: "
@@ -463,7 +461,7 @@ class StarPresentation:
     # ---- element constructors ----
 
     def poly(self, table: Mapping[Monomial, ComplexRational]) -> "StarPoly":
-        terms, _ = normalize_table(self._rules, table, self.budget)
+        terms, _ = normalize_table(self._rules, table)
         return StarPoly(self, terms)
 
     def zero(self) -> "StarPoly":
@@ -487,23 +485,32 @@ class StarPresentation:
     def monomials_up_to(self, degree: int) -> list[Monomial]:
         """All rule-irreducible monomials of total degree <= degree,
         ascending graded-lex."""
+        return sorted(self._irreducible(degree), key=grlex_key)
+
+    def _irreducible(self, degree: int) -> Iterator[Monomial]:
+        """The rule-irreducible monomials of degree <= degree, lazily: slot by
+        slot, a rule lead that ends in this slot and divides the exponents
+        before it caps this one below its own, so every branch yields."""
         n = len(self.generators)
-        out: list[Monomial] = []
+        ends: list[list[Monomial]] = [[] for _ in range(n + 1)]
+        for lead in (rule.lead for rule in self._rules):
+            ends[max((i + 1 for i, e in enumerate(lead) if e), default=0)].append(lead)
+        mono: list[int] = []
 
-        def emit(prefix: list[int], pos: int, remaining: int) -> None:
-            if pos == n:
-                mono = tuple(prefix)
-                if not any(mono_divides(r.lead, mono) for r in self._rules):
-                    out.append(mono)
+        def walk(remaining: int) -> Iterator[Monomial]:
+            slot = len(mono)
+            if slot == n:
+                yield tuple(mono)
                 return
-            for e in range(remaining + 1):
-                prefix.append(e)
-                emit(prefix, pos + 1, remaining - e)
-                prefix.pop()
+            top = min([remaining + 1] + [lead[slot] for lead in ends[slot + 1]
+                                         if all(map(le, lead, mono))])
+            for e in range(top):
+                mono.append(e)
+                yield from walk(remaining - e)
+                mono.pop()
 
-        emit([], 0, degree)
-        out.sort(key=grlex_key)
-        return out
+        # a constant relation (a lead ending before slot 0) reduces everything
+        return iter(()) if ends[0] else walk(degree)
 
     def describe(self) -> dict:
         """Plain-data summary used by the command line reports."""
@@ -607,7 +614,7 @@ class StarPoly:
             return StarPoly(self.pres, tuple((m, k * c) for m, k in self.terms))
         self._require_same(other)
         pres = self.pres
-        terms, _ = _reduce(pres._rules, *_int_mul(self.terms, other.terms), pres.budget)
+        terms, _ = _reduce(pres._rules, *_int_mul(self.terms, other.terms))
         return StarPoly(pres, terms)
 
     def __rmul__(self, other: ScalarLike) -> "StarPoly":
@@ -790,8 +797,7 @@ def free_star(pres: StarPresentation) -> StarPresentation:
                 seen.add(key)
                 tables.append(table)
     return StarPresentation.assemble(
-        f"free({pres.name})", MODE_STAR, names, adjoint, tables,
-        budget=pres.budget)
+        f"free({pres.name})", MODE_STAR, names, adjoint, tables)
 
 
 def underlying(pres: StarPresentation) -> StarPresentation:
@@ -802,8 +808,7 @@ def underlying(pres: StarPresentation) -> StarPresentation:
     return StarPresentation.assemble(
         f"underlying({pres.name})", MODE_ALGEBRA, pres.generators,
         (None,) * len(pres.generators),
-        [dict(rel) for rel in pres.relations],
-        budget=pres.budget)
+        [dict(rel) for rel in pres.relations])
 
 
 def reinterpret(a: StarPoly, pres: StarPresentation) -> StarPoly:

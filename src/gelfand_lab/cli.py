@@ -26,9 +26,9 @@ import sys
 from typing import Sequence
 
 from . import approx, spectrum, states
-from .algebra import (MODE_ALGEBRA, MODE_STAR, Morphism, StarPresentation,
-                      free_star, underlying)
-from .errors import CharacterError, GelfandError, GnsError, require_numpy
+from .algebra import Morphism, StarPresentation, free_star, underlying
+from .errors import (CharacterError, GelfandError, GnsError, ParseError,
+                     require_numpy)
 from .parsing import (format_character, format_poly, format_terms, parse_box,
                       parse_character, parse_morphism, parse_poly,
                       parse_presentation, parse_state)
@@ -36,8 +36,6 @@ from .scalars import ComplexRational, rational_literal
 from .spectrum import Character, CompactBox, format_value
 
 SCHEMA = "gelfand-lab/1"
-
-_MODES = {"star": MODE_STAR, "algebra": MODE_ALGEBRA}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,10 +52,13 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:  # text that is not UTF-8, or a NUL in the path
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
 
 
 def canonical_presentation(pres: StarPresentation) -> str:
@@ -148,8 +149,8 @@ def _fmt_complex(z: complex) -> str:
 # ---------------------------------------------------------------------------
 
 def _load(args) -> StarPresentation:
-    mode = _MODES[getattr(args, "mode", "star")]
-    return parse_presentation(read_input(args.presentation), mode=mode)
+    return parse_presentation(read_input(args.presentation),
+                              mode=getattr(args, "mode", "star"))
 
 
 def cmd_parse(args) -> tuple[dict, list[str], int]:
@@ -200,14 +201,13 @@ def cmd_eval(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_pushforward(args) -> tuple[dict, list[str], int]:
-    mode = _MODES[args.mode]
-    source = parse_presentation(read_input(args.source), mode=mode)
-    target = parse_presentation(read_input(args.target), mode=mode)
+    source = parse_presentation(read_input(args.source), mode=args.mode)
+    target = parse_presentation(read_input(args.target), mode=args.mode)
     f = parse_morphism(args.map, source, target)
     char = parse_character(args.char, target, tolerance=args.tolerance)
-    result = spectrum.pushforward(f, char)
+    result = spectrum.pushforward(f, char, tolerance=args.tolerance)
     report = base_report("pushforward", {
-        "mode": mode,
+        "mode": source.mode,
         "source": canonical_presentation(source),
         "target": canonical_presentation(target),
         "map": canonical_morphism(f),

@@ -38,7 +38,7 @@ class AlgebraError(GelfandError):
 
 
 class RewriteBudgetError(AlgebraError):
-    """Normalization exceeded its rewrite step budget."""
+    """Normalization exceeded algebra.MAX_REWRITE_STEPS rewrite steps."""
 
 
 class MorphismError(GelfandError):

@@ -551,49 +551,40 @@ class Parser:
 
 # ── public entry points ──────────────────────────────────────────────────
 
-def parse_presentation(text: str, mode: str = MODE_STAR) -> StarPresentation:
-    mode = {"star": MODE_STAR}.get(mode, mode)  # short alias
+def _parse(text: str, read, *args):
+    """Tokenize text, read one item with a Parser method, then demand the
+    end of input: the one path behind every parse_* entry point."""
     parser = Parser(tokenize(text))
-    pres = parser.presentation(mode)
-    parser.expect_done()
-    return pres
-
-
-def parse_poly(text: str, pres: StarPresentation) -> StarPoly:
-    parser = Parser(tokenize(text))
-    value = parser.poly(pres)
-    parser.expect_done()
-    return value
-
-
-def parse_character(text: str, pres: StarPresentation,
-                    tolerance: float = spectrum.FLOAT_TOLERANCE) -> spectrum.Character:
-    parser = Parser(tokenize(text))
-    char = parser.character(pres, tolerance)
-    parser.expect_done()
-    return char
-
-
-def parse_box(text: str, pres: StarPresentation) -> spectrum.CompactBox:
-    parser = Parser(tokenize(text))
-    box = parser.box(pres)
-    parser.expect_done()
-    return box
-
-
-def parse_state(text: str, pres: StarPresentation) -> states.State:
-    parser = Parser(tokenize(text))
-    result = parser.state(pres)
+    result = read(parser, *args)
     parser.expect_done()
     return result
 
 
+def parse_presentation(text: str, mode: str = MODE_STAR) -> StarPresentation:
+    mode = {"star": MODE_STAR}.get(mode, mode)  # short alias
+    return _parse(text, Parser.presentation, mode)
+
+
+def parse_poly(text: str, pres: StarPresentation) -> StarPoly:
+    return _parse(text, Parser.poly, pres)
+
+
+def parse_character(text: str, pres: StarPresentation,
+                    tolerance: float = spectrum.FLOAT_TOLERANCE) -> spectrum.Character:
+    return _parse(text, Parser.character, pres, tolerance)
+
+
+def parse_box(text: str, pres: StarPresentation) -> spectrum.CompactBox:
+    return _parse(text, Parser.box, pres)
+
+
+def parse_state(text: str, pres: StarPresentation) -> states.State:
+    return _parse(text, Parser.state, pres)
+
+
 def parse_morphism(text: str, source: StarPresentation,
                    target: StarPresentation) -> algebra.Morphism:
-    parser = Parser(tokenize(text))
-    morphism = parser.morphism(source, target)
-    parser.expect_done()
-    return morphism
+    return _parse(text, Parser.morphism, source, target)
 
 
 # ── formatting ───────────────────────────────────────────────────────────

@@ -180,10 +180,12 @@ def separating_generator(p: Character, q: Character) -> str | None:
 # functorial maps on characters
 # ---------------------------------------------------------------------------
 
-def pushforward(f: Morphism, p: Character) -> Character:
+def pushforward(f: Morphism, p: Character,
+                tolerance: float = FLOAT_TOLERANCE) -> Character:
     """Precompose a character with a morphism: the contravariant action on
     spectra.  For *-presentations the morphism must be *-compatible, or the
-    result could fail the conjugacy constraints."""
+    result could fail the conjugacy constraints.  Floats are checked within
+    ``tolerance``."""
     if p.pres != f.target:
         raise AlgebraError("character does not live on the morphism target")
     if f.source.is_star and f.target.is_star:
@@ -194,7 +196,7 @@ def pushforward(f: Morphism, p: Character) -> Character:
                 f"generator {witness!r}")
     assignment = {g: gelfand_eval(img, p)
                   for g, img in zip(f.source.generators, f.images)}
-    return validate_character(f.source, assignment)
+    return validate_character(f.source, assignment, tolerance)
 
 
 def naturality_inclusion(p: Character) -> Character:

@@ -23,12 +23,13 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Mapping, Sequence, Union
 
 from . import spectrum
-from .algebra import Monomial, StarPoly, StarPresentation, mono_involute, mono_mul
-from .errors import (AlgebraError, GnsError, StateError, UnsupportedError,
-                     require_numpy)
+from .algebra import (Monomial, StarPoly, StarPresentation, grlex_key,
+                      mono_involute, mono_mul)
+from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
 from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
                       to_float, to_numerators)
 from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
@@ -37,9 +38,9 @@ Value = Union[ComplexRational, complex]
 
 PSD_TOLERANCE = 1e-10
 NULL_THRESHOLD = 1e-9
-# Largest GNS basis, checked against C(degree + k, k), the number of
-# monomials of degree <= degree on k generators.  At the cap, `gns` of the
-# Gaussian state on the line (degree 159) ends in about 3 s on a 2-vCPU VM.
+# Largest GNS basis, counted on the irreducible monomials the basis walk
+# yields.  At the cap, `gns` of the Gaussian state on the line (degree 159)
+# ends in about 3 s on a 2-vCPU VM.
 MAX_GNS_BASIS = 160
 
 
@@ -333,31 +334,35 @@ def _moment(moments: dict[Monomial, Value], state: State, mono: Monomial) -> Val
     return value
 
 
+def _pairing(state: State, moments: dict[Monomial, Value],
+             basis: Sequence[Monomial], w: Monomial) -> list[list[Value]]:
+    """Rows i, columns j: E(adj(m_i) * w * m_j) on the raw product monomial,
+    read through the moment table; exact values on an exact state."""
+    lefts = [mono_mul(mono_involute(state.pres.adjoint, mi), w) for mi in basis]
+    return [[_moment(moments, state, mono_mul(left, mj)) for mj in basis]
+            for left in lefts]
+
+
 def gram_matrix(state: State, degree: int) -> GnsModel:
     """Gram matrix of E(adj(a) b) on irreducible monomials up to ``degree``.
 
-    Entry (i, j) is the moment of the raw monomial adj(m_i) * m_j.
+    Entry (i, j) is the moment of the raw monomial adj(m_i) * m_j.  It is
+    checked Hermitian here and positive semidefinite in :func:`gns_basis`.
     """
     if degree < 0:
         raise GnsError("degree must be nonnegative")
-    pres = state.pres
-    k = len(pres.generators)
-    if math.comb(degree + k, k) > MAX_GNS_BASIS:
-        raise UnsupportedError(
-            f"GNS basis too large: C(degree + k, k) = C({degree} + {k}, {k}) "
-            f"monomials exceed the cap of {MAX_GNS_BASIS}")
-    basis = tuple(pres.monomials_up_to(degree))
+    basis = list(islice(state.pres._irreducible(degree), MAX_GNS_BASIS + 1))
+    check_cap(f"GNS basis of irreducible monomials up to degree {degree}",
+              len(basis), MAX_GNS_BASIS)
+    basis = tuple(sorted(basis, key=grlex_key))
     n = len(basis)
     moments: dict[Monomial, Value] = {}
-    invs = [mono_involute(pres.adjoint, mi) for mi in basis]
-    entries = [[_moment(moments, state, mono_mul(inv, mj)) for mj in basis]
-               for inv in invs]
+    entries = _pairing(state, moments, basis, (0,) * len(state.pres.generators))
     if state.exact:
         gram = tuple(tuple(row) for row in entries)
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i].conjugate():
-                    raise GnsError("Gram matrix is not Hermitian")
+        if any(gram[i][j] != gram[j][i].conjugate()
+               for i in range(n) for j in range(i, n)):
+            raise GnsError("Gram matrix is not Hermitian")
         return GnsModel(state, degree, basis, gram, True, moments=moments)
     np = require_numpy()
     arr = np.array([[complex(v) for v in row] for row in entries], dtype=complex)
@@ -365,11 +370,6 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
         raise GnsError("Gram matrix is not Hermitian within tolerance")
     arr = (arr + arr.conj().T) / 2.0
-    if n:
-        eigs = np.linalg.eigvalsh(arr)
-        if eigs[0] < -PSD_TOLERANCE * max(1.0, float(eigs[-1])):
-            raise GnsError(f"Gram matrix is not positive semidefinite: "
-                           f"eigenvalue {eigs[0]!r}")
     return GnsModel(state, degree, basis, arr, False, moments=moments)
 
 
@@ -445,7 +445,11 @@ def _gns_float(model: GnsModel) -> GnsModel:
     np = require_numpy()
     gram = model.gram
     n = len(model.basis)
-    scale = max(1.0, float(np.max(np.linalg.eigvalsh(gram)))) if n else 1.0
+    eigs = np.linalg.eigvalsh(gram) if n else [0.0]
+    scale = max(1.0, float(eigs[-1]))
+    if eigs[0] < -PSD_TOLERANCE * scale:
+        raise GnsError(f"Gram matrix is not positive semidefinite: "
+                       f"eigenvalue {eigs[0]!r}")
     ortho: list[tuple[np.ndarray, np.ndarray, float]] = []
     null: list[tuple[complex, ...]] = []
     for j in range(n):
@@ -478,7 +482,8 @@ def gns_basis(model: GnsModel) -> GnsModel:
     vector of squared length zero is a null direction and keeps unit leading
     coefficient (e.g. the two-point state at +-1 yields x^2 - 1 on the nose).
     Exact models detect zero exactly; floating models use a relative
-    threshold against the largest eigenvalue.
+    threshold against the largest eigenvalue.  Positivity is decided here
+    alone: a negative squared length or lowest eigenvalue raises GnsError.
     """
     if model.null_space is not None:
         return model
@@ -496,16 +501,12 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     """
     np = require_numpy()
     completed = gns_basis(model)
-    pres = completed.pres
-    idx = pres.generator_index(generator)
-    gen = tuple(int(i == idx) for i in range(len(pres.generators)))
-    basis = completed.basis
-    n = len(basis)
-    lefts = [mono_mul(mono_involute(pres.adjoint, ml), gen) for ml in basis]
-    pairing = np.zeros((n, n), dtype=complex)
-    for k, mk in enumerate(basis):
-        for l, left in enumerate(lefts):
-            pairing[l, k] = complex(_moment(completed.moments, completed.state,
-                                            mono_mul(left, mk)))
-    b = np.array(completed.orthonormal, dtype=complex).T  # columns are basis vectors
+    idx = completed.pres.generator_index(generator)
+    n = len(completed.basis)
+    gen = tuple(int(i == idx) for i in range(len(completed.pres.generators)))
+    pairing = np.array([[complex(v) for v in row] for row in _pairing(
+        completed.state, completed.moments, completed.basis, gen)],
+        dtype=complex).reshape(n, n)
+    # columns are basis vectors; the shape holds for an empty basis too
+    b = np.array(completed.orthonormal, dtype=complex).reshape(completed.rank(), n).T
     return b.conj().T @ pairing @ b

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import gelfand_lab as gl
 from gelfand_lab import (ComplexRational, Morphism, StarPresentation,
                          verify_rewrite_trace)
-from gelfand_lab.algebra import (DEFAULT_REWRITE_BUDGET, MAX_POWER_TERMS,
-                                 RewriteStep, grlex_key, mono_divides,
-                                 mono_mul, mono_quotient, normalize_table,
-                                 raw_involute, raw_mul, sort_terms)
+from gelfand_lab.algebra import (MAX_POWER_TERMS, RewriteStep, grlex_key,
+                                 mono_divides, mono_mul, mono_quotient,
+                                 normalize_table, raw_involute, raw_mul,
+                                 sort_terms)
 from gelfand_lab.errors import (AlgebraError, MorphismError,
                                 PresentationError, RewriteBudgetError,
                                 UnsupportedError)
@@ -103,11 +103,11 @@ def test_normalization_examples():
     assert gl.parse_poly("z^2*adj(z)", c) == gl.parse_poly("z", c)
 
 
-def test_rewrite_budget():
+def test_rewrite_budget(monkeypatch):
     pres = StarPresentation.assemble(
         "Tiny", "star-algebra", ("x",), (0,),
-        [{(2,): ComplexRational(1), (1,): ComplexRational(-1)}],
-        budget=3)
+        [{(2,): ComplexRational(1), (1,): ComplexRational(-1)}])
+    monkeypatch.setattr(gl.algebra, "MAX_REWRITE_STEPS", 3)
     with pytest.raises(RewriteBudgetError):
         pres.poly({(50,): ComplexRational(1)})
 
@@ -122,9 +122,7 @@ def test_rewrite_trace_replays():
                 mono = tuple(rng.randint(0, 4)
                              for _ in pres.generators)
                 raw[mono] = rand_scalar(rng)
-            normal, steps = normalize_table(rules, dict(raw),
-                                            DEFAULT_REWRITE_BUDGET,
-                                            record=True)
+            normal, steps = normalize_table(rules, dict(raw), record=True)
             assert verify_rewrite_trace(pres, raw, normal, steps)
 
 

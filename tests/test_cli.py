@@ -70,6 +70,27 @@ def test_usage_error_exit_one(files, capsys):
     assert exc.value.code == 1
 
 
+def test_unreadable_input_exit_one(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.star"
+    latin1.write_bytes(b"algebra L\xe9 ; generator x : selfadjoint ;")
+    for path in (str(latin1), "nul\x00.star"):
+        code, out, err = run(capsys, "parse", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path!r}")
+
+
+def test_gns_on_the_zero_algebra(capsys, tmp_path):
+    # the relation 2 = 0 leaves no basis monomial: every matrix is 0 x 0
+    zero = tmp_path / "zero.star"
+    zero.write_text("algebra Z ; generator x : selfadjoint ; relation 2 ;",
+                    encoding="utf-8")
+    code, doc, _ = run_json(capsys, "gns", str(zero), "--state", "gaussian")
+    assert code == 0
+    assert doc["basis"] == [] and doc["rank"] == 0
+    assert doc["operators"] == {"x": {"matrix": [], "eigenvalues": []}}
+
+
 def test_free_and_underlying(files, capsys, tmp_path):
     plain = tmp_path / "plain.alg"
     plain.write_text("algebra P ;\ngenerator x : free ;\n", encoding="utf-8")
@@ -118,6 +139,23 @@ def test_pushforward(files, capsys):
                             "--char", "x = 3")
     assert code == 0
     assert doc["pushforward"]["x"] == "9"
+
+
+def test_pushforward_honours_tolerance(tmp_path, capsys):
+    circle = "algebra C ;\ngenerator z : free ;\nrelation z*adj(z) - 1 ;\n"
+    (tmp_path / "c.star").write_text(circle, encoding="utf-8")
+    (tmp_path / "w.star").write_text(circle.replace("z", "w"), encoding="utf-8")
+    # |z|^2 - 1 is about 1.6e-7: inside 1e-6, outside the default 1e-12,
+    # where the character itself is already rejected
+    pushforward = ["pushforward", "--source", str(tmp_path / "w.star"),
+                   "--target", str(tmp_path / "c.star"), "--map", "w -> z",
+                   "--char", "z = (0.6+0.8000001i)"]
+    code, doc, _ = run_json(capsys, *pushforward, "--tolerance", "1e-6")
+    assert code == 0
+    assert doc["pushforward"]["w"] == [0.6, 0.8000001]
+    code, _, err = run(capsys, *pushforward)
+    assert code == 2
+    assert "relation 0 is violated" in err
 
 
 def test_nilpotent_with_radical_sampling(files, capsys):
@@ -245,8 +283,8 @@ def test_gns_basis_cap_exits_one_at_once(files, command):
                            "--degree", "3000"],
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
-    assert "GNS basis too large" in proc.stderr
-    assert "exceed the cap of" in proc.stderr
+    assert "GNS basis of irreducible monomials up to degree 3000" in proc.stderr
+    assert "exceeds the cap of 160" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -757,10 +758,66 @@ def test_gns_basis_cap(monkeypatch):
     monkeypatch.setattr(gl.states, "MAX_GNS_BASIS", 10)
     st = gl.gaussian_state(line())
     assert len(gl.gram_matrix(st, 9).basis) == 10
-    with pytest.raises(gl.UnsupportedError, match=r"C\(10 \+ 1, 1\)"):
+    with pytest.raises(gl.UnsupportedError,
+                       match="up to degree 10 exceeds the cap of 10"):
         gl.gram_matrix(st, 10)
-    # C(3 + 2, 2) = 10 bounds the disk at degree 3, C(4 + 2, 2) = 15 does not
+    # the disk has 10 monomials of degree <= 3 and 15 of degree <= 4
     atomic = gl.atomic_state(disk(), [({"z": _q(1, 1)}, 1)])
     assert len(gl.gram_matrix(atomic, 3).basis) == 10
-    with pytest.raises(gl.UnsupportedError, match="exceed the cap of 10"):
+    with pytest.raises(gl.UnsupportedError, match="exceeds the cap of 10"):
         gl.gram_matrix(atomic, 4)
+
+
+def test_gns_basis_cap_counts_irreducible_monomials():
+    # 1, z^k and adj(z)^k: the circle has 2d + 1 basis monomials at degree d
+    st = gl.atomic_state(circle(), [({"z": _q(1)}, 1)])
+    assert len(gl.gram_matrix(st, 79).basis) == 159
+    start = time.perf_counter()
+    for degree in (80, 10 ** 9):
+        with pytest.raises(gl.UnsupportedError,
+                           match=f"up to degree {degree} exceeds the cap of 160"):
+            gl.gram_matrix(st, degree)
+    # the walk stops after 161 monomials, before any moment is read
+    assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# Hermitian checks in gram_matrix, positivity in gns_basis
+# ---------------------------------------------------------------------------
+
+def _moment_rule_state(moments, exact):
+    """A state on the line with E(x^k) = moments[k], built around the checks
+    that the public constructors make."""
+    value = ComplexRational if exact else complex
+    return gl.State("analytic", line(), exact, False, "moment rule",
+                    lambda a: None, lambda mono: value(*moments[mono[0]]))
+
+
+@pytest.mark.parametrize("moments", [
+    [(1,), (0, 1), (1,)],  # Gram [[1, i], [i, 1]]
+    [(1,), (0,), (0, 1)],  # Gram [[1, 0], [0, i]]
+], ids=["off-diagonal", "diagonal"])
+@pytest.mark.parametrize("exact, message", [
+    (True, "Gram matrix is not Hermitian"),
+    (False, "Gram matrix is not Hermitian within tolerance"),
+], ids=["exact", "float"])
+def test_gram_matrix_rejects_non_hermitian_moments(moments, exact, message):
+    st = _moment_rule_state(moments, exact)
+    with pytest.raises(GnsError, match=f"^{message}$"):
+        gl.gram_matrix(st, 1)
+
+
+@pytest.mark.parametrize("exact, message", [
+    (True, "squared length -1 at basis slot 1$"),
+    (False, r"eigenvalue .*-1\.0"),
+], ids=["exact", "float"])
+def test_gns_basis_rejects_indefinite_gram(exact, message):
+    # Gram [[1, 0], [0, -1]]: gram_matrix builds it, gns_basis rejects it
+    st = _moment_rule_state([(1,), (0,), (-1,)], exact)
+    model = gl.gram_matrix(st, 1)
+    assert model.null_space is None
+    match = f"^Gram matrix is not positive semidefinite: {message}"
+    with pytest.raises(GnsError, match=match):
+        gl.gns_basis(model)
+    with pytest.raises(GnsError, match=match):
+        gl.multiplication_operator(model, "x")
