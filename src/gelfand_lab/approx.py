@@ -38,6 +38,11 @@ MAX_ERROR_GRID = 2 ** 22  # Bernstein error grid: resolution^dim points
 MAX_BASIS_ENTRIES = 2 ** 24  # Bernstein basis matrix: resolution*(degree + 1)
 MAX_BERNSTEIN_NODES = 2 ** 16  # Bernstein node tensor: (degree + 1)^dim
 
+# Float grid work done at once, not a cap: the Bernstein error grid builds
+# the basis of its first axis in row blocks of at most GRID_BLOCK entries,
+# and a float grid maximum evaluates its target on at most GRID_BLOCK points.
+GRID_BLOCK = 2 ** 16
+
 
 # ---------------------------------------------------------------------------
 # seminorms
@@ -214,12 +219,34 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
     if subject.dim != box.dimension():
         raise AlgebraError("target dimension does not match the box")
     np = require_numpy()
-    axes = [np.linspace(float(lo), float(hi), resolution)
-            for lo, hi in box.intervals]
-    best = 0.0
-    for point in itertools.product(*axes):
-        best = max(best, abs(subject.fn(tuple(point))))
+    coords = [np.linspace(float(lo), float(hi), resolution).tolist()
+              for lo, hi in box.intervals]
+    best = _grid_max_abs(subject.fn, coords)
     return SeminormEstimate(best, best, resolution, False)
+
+
+def _grid_max_abs(fn: Callable[[tuple[float, ...]], Union[float, complex]],
+                  coords: list[list[float]], approx: np.ndarray | None = None,
+                  best: float = 0.0) -> float:
+    """The larger of best and max |fn(p_i) - approx[i]| over the grid points.
+
+    ``coords`` holds one list of Python floats per axis; ``fn`` is called
+    once per point, in C order, on a tuple of them.  ``approx``, when given,
+    is a flat complex array in the same order.  A NaN difference is skipped,
+    as ``max`` skips it.  The magnitude is ``np.hypot``, which matches
+    Python's ``abs(complex)`` to the bit; numpy's vectorized complex
+    ``np.abs`` does not.
+    """
+    np = require_numpy()
+    points = itertools.product(*coords)
+    for start in itertools.count(0, GRID_BLOCK):
+        values = [fn(p) for p in itertools.islice(points, GRID_BLOCK)]
+        if not values:
+            return best
+        diff = np.array(values, dtype=complex)
+        if approx is not None:
+            diff -= approx[start:start + len(values)]
+        best = float(np.fmax.reduce(np.hypot(diff.real, diff.imag), initial=best))
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +259,32 @@ def _coordinate_presentation(dim: int) -> StarPresentation:
         "cube", MODE_STAR, names, tuple(range(dim)), [])
 
 
-def _basis_matrix(n: int, points: np.ndarray) -> np.ndarray:
+def _binomials(n: int) -> np.ndarray:
+    """C(n, k) as floats for k = 0..n, finite for every n <= 1024."""
+    np = require_numpy()
+    return np.array([float(math.comb(n, k)) for k in range(n + 1)])
+
+
+def _basis_matrix(combs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Rows: Bernstein basis values (b_{n,0}(t), ..., b_{n,n}(t)).
 
-    Direct products of nonnegative factors; no cancellation, so this stays
-    accurate where the expanded monomial form would be hopeless.
+    ``combs`` is ``_binomials(n)``.  Direct products of nonnegative factors;
+    no cancellation, so this stays accurate where the expanded monomial
+    form would be hopeless.  numpy's ``pow`` gives x**0 == 1 for every x,
+    NaN included, so the end columns need no special case.  Python's ``**``
+    is no substitute: where numpy's ``pow`` runs SIMD code their last bits
+    differ.
     """
     np = require_numpy()
+    n = len(combs) - 1
     ks = np.arange(n + 1)
-    combs = np.array([float(math.comb(n, k)) for k in ks])
     t = points.reshape(-1, 1)
     with np.errstate(invalid="ignore"):
-        left = np.where(ks == 0, 1.0, t ** ks)
-        right = np.where(ks == n, 1.0, (1.0 - t) ** (n - ks))
-    return combs * left * right
+        basis = t ** ks
+        right = (1.0 - t) ** (n - ks)
+    basis *= combs
+    basis *= right
+    return basis
 
 
 class BernsteinResult:
@@ -272,7 +311,8 @@ class BernsteinResult:
         if len(point) != dim:
             raise AlgebraError(f"expected {dim} coordinates")
         np = require_numpy()
-        bases = [_basis_matrix(n, np.array([float(t)]))[0] for t in point]
+        combs = _binomials(n)
+        bases = [_basis_matrix(combs, np.array([float(t)]))[0] for t in point]
         total = 0j
         for key, val in self._values.items():
             w = 1.0
@@ -325,7 +365,11 @@ def bernstein_approx(f: TargetFunction, n: int,
         if f.exact_fn is not None:
             raw = f.exact_fn(mapped)
         else:
-            c = complex(f.fn(tuple(float(x) for x in mapped)))
+            point = tuple(float(x) for x in mapped)
+            c = complex(f.fn(point))
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise AlgebraError(f"target {f.name!r} is {c} at the node {point}; "
+                                   "Bernstein node values must be finite")
             raw = ComplexRational(Fraction(c.real), Fraction(c.imag))
         exact_vals[key] = raw if isinstance(raw, ComplexRational) else ComplexRational(raw)
 
@@ -345,26 +389,30 @@ def bernstein_approx(f: TargetFunction, n: int,
     pres = _coordinate_presentation(dim)
     poly = pres.poly(dict(zip(map(tuple, np.argwhere(nonzero).tolist()), coeffs)))
 
-    # error of |f - B| on a grid, via the stable evaluator
+    # error of |f - B| on a grid, via the stable evaluator, in row blocks
+    # of the first axis so that no basis block passes GRID_BLOCK entries.
+    # Under the caps a 3-axis grid is one block (161 rows of 40 entries at
+    # most): its contraction order depends on the operand shapes, and a
+    # smaller block would move the last bits.
     float_vals = {k: complex(v) for k, v in exact_vals.items()}
-    axes01 = [np.linspace(0.0, 1.0, error_resolution) for _ in range(dim)]
-    basis_per_axis = [_basis_matrix(n, ax) for ax in axes01]
     tensor_f = np.zeros((n + 1,) * dim, dtype=complex)
     for key, val in float_vals.items():
         tensor_f[key] = val
-    spec_map = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}
-    # three axes contract one at a time; a single 7-index loop took seconds
-    approx_vals = np.einsum(spec_map[dim], *basis_per_axis, tensor_f,
-                            optimize=dim == 3)
-    mapped_axes = []
-    for (lo, hi), ax in zip(box_iv, axes01):
-        lo_f, hi_f = float(lo), float(hi)
-        mapped_axes.append([lo_f + (hi_f - lo_f) * t for t in ax])
+    spec = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}[dim]
+    combs = _binomials(n)
+    ax01 = np.linspace(0.0, 1.0, error_resolution)
+    others = [_basis_matrix(combs, ax01)] * (dim - 1) if dim > 1 else []
+    (lo, hi), *rest = [(float(lo), float(hi)) for lo, hi in box_iv]
+    coords = [(a + (b - a) * ax01).tolist() for a, b in rest]
+    rows = GRID_BLOCK // (n + 1)
     best = 0.0
-    # product order is the C order of approx_vals
-    for mapped, approx_val in zip(itertools.product(*mapped_axes), approx_vals.flat):
-        err = abs(complex(f.fn(mapped)) - approx_val)
-        best = max(best, err)
+    for start in range(0, error_resolution, rows):
+        ts = ax01[start:start + rows]
+        # three axes contract one at a time; a single 7-index loop took seconds
+        approx_vals = np.einsum(spec, _basis_matrix(combs, ts), *others, tensor_f,
+                                optimize=dim == 3)
+        best = _grid_max_abs(f.fn, [(lo + (hi - lo) * ts).tolist(), *coords],
+                             approx_vals.ravel(), best)
     error = SeminormEstimate(best, best, error_resolution, False)
     return BernsteinResult(poly, n, float_vals, error)
 
@@ -373,6 +421,9 @@ def density_witness(f: TargetFunction, epsilon: float,
                     max_degree: int = 256,
                     error_resolution: int | None = None) -> BernsteinResult | None:
     """Search doubling degrees for a Bernstein approximant within epsilon."""
+    if not 0 < epsilon < math.inf:
+        raise AlgebraError(f"approximation epsilon must be positive and finite, "
+                           f"not {epsilon}")
     if error_resolution is not None and error_resolution < 2:
         raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
     check_cap(f"Bernstein search up to degree {max_degree}", max_degree,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -393,8 +394,20 @@ def _pres_arg(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
                        help="presentation flavor (default %(default)s)")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a nonnegative finite number, not {text!r}")
+    return value
+
+
 def _tol_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=spectrum.FLOAT_TOLERANCE,
+    p.add_argument("--tolerance", type=_tolerance,
+                   default=spectrum.FLOAT_TOLERANCE,
                    help="floating comparison tolerance (default %(default)s)")
 
 
@@ -484,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=256,
                    help="search cap for --epsilon (default %(default)s)")
     p.add_argument("--resolution", type=int,
-                   help="error measurement grid (default chosen by degree)")
+                   help="error grid points per axis (default 10001 on one "
+                        "axis)")
 
     p = add("wirtinger", cmd_wirtinger,
             "adjoint-direction derivative and holomorphy check")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -79,6 +80,50 @@ def test_seminorm_of_target_function():
     est = gl.seminorm_on_box(f, box, resolution=101)
     assert est.lower == pytest.approx(1.0)
     assert est.lower <= est.upper
+
+
+def reference_target_grid_max(f, box, resolution):
+    """The float grid maximum point by point, as first written: numpy
+    coordinates, Python abs and max (which skips NaN)."""
+    axes = [np.linspace(float(lo), float(hi), resolution) for lo, hi in box.intervals]
+    best = 0.0
+    for point in itertools.product(*axes):
+        best = max(best, abs(f.fn(tuple(point))))
+    return best
+
+
+@pytest.mark.parametrize("f, box, resolution, block", [
+    (gl.catalog_target("exp"), "t1 = [-1/3, 5/7]", 1001, None),
+    (TargetFunction("wave", 1, fn=lambda p: complex(math.cos(7 * p[0]), p[0] ** 3)),
+     "t1 = [-1, 2]", 999, 100),
+    (TargetFunction("hole", 1, fn=lambda p: math.nan if 0.3 < p[0] < 0.4 else p[0]),
+     "t1 = [0, 1]", 101, None),
+    (TargetFunction("plane", 2, fn=lambda p: complex(math.sin(p[0]) * p[1], p[0] - p[1])),
+     "t1 = [-1/3, 5/7] ; t2 = [1/5, 3]", 57, 1000),
+    (TargetFunction("cube", 3, fn=lambda p: p[0] * p[1] - abs(p[2] - 0.5)),
+     "t1 = [0, 1] ; t2 = [-1, 1] ; t3 = [1/7, 2]", 13, None),
+], ids=["line", "line-complex-blocks", "line-nan", "plane-blocks", "cube"])
+def test_seminorm_of_target_matches_point_loop(monkeypatch, f, box, resolution, block):
+    # bit equality, also when the grid is evaluated in several blocks
+    if block is not None:
+        monkeypatch.setattr(approx, "GRID_BLOCK", block)
+    names = ", ".join(f"t{i + 1}" for i in range(f.dim))
+    box = gl.parse_box(box, gl.parse_presentation(
+        f"algebra T ; generator {names} : selfadjoint ;"))
+    est = gl.seminorm_on_box(f, box, resolution=resolution)
+    assert est.lower == est.upper == reference_target_grid_max(f, box, resolution)
+
+
+def test_seminorm_of_target_magnitude_is_python_abs():
+    # np.abs on complex arrays differs from abs(complex) in the last bit on
+    # about a third of random values; the grid maximum must not
+    rng = Random(67)
+    box = gl.parse_box("t = [0, 1]", gl.parse_presentation(
+        "algebra T ; generator t : selfadjoint ;"))
+    for _ in range(500):
+        z = complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.randint(-5, 5)
+        est = gl.seminorm_on_box(TargetFunction("z", 1, fn=lambda p: z), box, resolution=2)
+        assert est.lower == abs(z)
 
 
 GRID_PRESENTATIONS = {
@@ -227,10 +272,67 @@ def test_bernstein_node_cap_raises_before_any_node():
         gl.bernstein_approx(TargetFunction("plane", 2, fn=lambda p: 0.0), 256)
 
 
+def test_three_axis_error_grid_is_one_block():
+    # the 3-axis contraction order depends on the operand shapes, and a
+    # block of fewer rows moves the last bits: under the caps every 3-axis
+    # error grid is one row block
+    degree = max(d for d in range(1, 100) if (d + 1) ** 3 <= approx.MAX_BERNSTEIN_NODES)
+    resolution = max(r for r in range(2, 1000) if r ** 3 <= approx.MAX_ERROR_GRID)
+    assert (degree, resolution) == (39, 161)
+    assert approx.GRID_BLOCK // (degree + 1) >= resolution
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   complex(1.0, math.nan), complex(math.inf, 0.0)])
+def test_bernstein_node_values_must_be_finite(value):
+    f = TargetFunction("spike", 1, fn=lambda p: value if p[0] == 0.5 else 1.0)
+    with pytest.raises(AlgebraError, match=r"'spike' is .* at the node \(0\.5,\)"):
+        gl.bernstein_approx(f, 4)
+
+
+def test_bernstein_error_grid_memory():
+    # the float error grid goes in row blocks: at degree 1024 the whole
+    # 10001 x 1025 basis matrix took 236 MiB
+    tracemalloc.start()
+    try:
+        gl.bernstein_approx(gl.catalog_target("exp"), approx.MAX_BERNSTEIN_DEGREE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 10 ** 6
+
+
+def reference_basis(n, points):
+    """The Bernstein basis as first written, end columns set apart with
+    np.where: a frozen copy, so that approx._basis_matrix is checked against
+    a formula other than its own.  It stays numpy, whose pow differs from
+    Python's ** in the last bits."""
+    ks = np.arange(n + 1)
+    combs = np.array([float(math.comb(n, k)) for k in ks])
+    t = points.reshape(-1, 1)
+    with np.errstate(invalid="ignore"):
+        left = np.where(ks == 0, 1.0, t ** ks)
+        right = np.where(ks == n, 1.0, (1.0 - t) ** (n - ks))
+    return combs * left * right
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 10001), (7, 10001), (128, 10001),
+                                           (1024, 2001)])
+def test_basis_matrix_matches_frozen_formula(n, resolution):
+    # bit equality, also at the ends, outside [0, 1] and at NaN
+    points = np.concatenate([np.linspace(0.0, 1.0, resolution),
+                             [-0.5, 1.5, math.nan]])
+    with np.errstate(over="ignore"):  # C(1024, k) * 1.5^k
+        got = approx._basis_matrix(approx._binomials(n), points)
+        want = reference_basis(n, points)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def reference_bernstein(f, n, intervals, resolution):
     """Expansion by per-term ComplexRational multiply-adds, and the float
-    error grid indexed point by point: the tables the integer contraction
-    and the hoisted error loop must reproduce exactly."""
+    error grid on the whole basis matrix, indexed point by point: the tables
+    the integer contraction and the blocked error grid must reproduce
+    exactly."""
     box_iv = [(Fraction(lo), Fraction(hi)) for lo, hi in intervals]
     nodes = {}
     for key in itertools.product(range(n + 1), repeat=f.dim):
@@ -256,7 +358,7 @@ def reference_bernstein(f, n, intervals, resolution):
     for key, val in nodes.items():
         tensor_f[key] = complex(val)
     spec = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}[f.dim]
-    approx_vals = np.einsum(spec, *(approx._basis_matrix(n, ax) for ax in axes01), tensor_f)
+    approx_vals = np.einsum(spec, *(reference_basis(n, ax) for ax in axes01), tensor_f)
     error = 0.0
     for idx in itertools.product(range(resolution), repeat=f.dim):
         mapped = tuple(float(lo) + (float(hi) - float(lo)) * axes01[axis][i]
@@ -265,29 +367,48 @@ def reference_bernstein(f, n, intervals, resolution):
     return tensor, error
 
 
+def nan_between_nodes(p):
+    # NaN at the grid points 0.31 to 0.34 of a 101-point grid, which no node
+    # of degree 8 on [0, 1] reaches
+    return math.nan if 0.3 < p[0] < 0.35 else math.cos(3 * p[0])
+
+
 # rel: relative tolerance on the float error, 0 for bit equality.  The 3-axis
 # grid contracts one axis at a time, the reference in one 7-index einsum, so
-# float nodes on the cube are held to 1e-12
-@pytest.mark.parametrize("f, n, intervals, resolution, rel", [
-    (gl.catalog_target("abs-shift"), 9, [(Fraction(-1, 3), Fraction(5, 7))], 101, 0),
-    (gl.catalog_target("exp"), 7, [(Fraction(1, 2), 3)], 101, 0),
+# float nodes on the cube are held to 1e-12.  block: GRID_BLOCK for the run,
+# small enough to split the first axis in several row blocks.
+@pytest.mark.parametrize("f, n, intervals, resolution, rel, block", [
+    (gl.catalog_target("abs-shift"), 9, [(Fraction(-1, 3), Fraction(5, 7))], 101, 0, None),
+    (gl.catalog_target("exp"), 7, [(Fraction(1, 2), 3)], 101, 0, None),
     (TargetFunction("mixed", 2, fn=lambda p: complex(p[0] * p[1], p[0] - p[1]),
                     exact_fn=lambda p: ComplexRational(p[0] * p[1], p[0] - p[1])),
-     4, [(Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 5), 3)], 21, 0),
+     4, [(Fraction(-1, 3), Fraction(2, 7)), (Fraction(1, 5), 3)], 21, 0, None),
     (TargetFunction("wave", 2, fn=lambda p: math.sin(p[0]) + 1j * p[1] ** 2),
-     5, [(-1, 2), (Fraction(1, 3), Fraction(4, 3))], 21, 0),
+     5, [(-1, 2), (Fraction(1, 3), Fraction(4, 3))], 21, 0, None),
     (TargetFunction("kink", 3, fn=lambda p: complex(abs(p[0] - p[1]), p[0] * p[2]),
                     exact_fn=lambda p: ComplexRational(abs(p[0] - p[1]), p[0] * p[2])),
-     3, [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)], 9, 0),
+     3, [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)], 9, 0, None),
     (TargetFunction("cube", 3, fn=lambda p: complex(math.sin(p[0]) * p[1], p[2] ** 2)),
-     3, [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)], 23, 1e-12),
+     3, [(0, 1), (Fraction(-2, 3), Fraction(1, 2)), (1, 2)], 23, 1e-12, None),
     (TargetFunction("zero", 2, fn=lambda p: 0.0, exact_fn=lambda p: Fraction(0)),
-     5, [(0, 1), (Fraction(1, 3), 2)], 7, 0),
-    (gl.catalog_target("abs-shift"), 300, [(Fraction(-1, 3), Fraction(5, 7))], 201, 0),
+     5, [(0, 1), (Fraction(1, 3), 2)], 7, 0, None),
+    (gl.catalog_target("abs-shift"), 300, [(Fraction(-1, 3), Fraction(5, 7))], 201, 0, None),
+    (gl.catalog_target("exp"), 65, [(0, 1)], None, 0, None),
+    (gl.catalog_target("abs-shift"), 128, [(0, 1)], None, 0, None),
+    (TargetFunction("wave", 2, fn=lambda p: math.sin(p[0]) + 1j * p[1] ** 2),
+     5, [(-1, 2), (Fraction(1, 3), Fraction(4, 3))], 41, 0, 60),
+    (TargetFunction("hole", 1, fn=nan_between_nodes), 8, [(0, 1)], 101, 0, None),
 ], ids=["line-exact", "line-float-nodes", "plane-exact", "plane-float-nodes",
-        "cube-exact", "cube-float-nodes", "plane-all-zero", "line-exact-300"])
-def test_bernstein_matches_reference_expansion(f, n, intervals, resolution, rel):
+        "cube-exact", "cube-float-nodes", "plane-all-zero", "line-exact-300",
+        "line-default-65", "line-default-128", "plane-row-blocks",
+        "line-nan-between-nodes"])
+def test_bernstein_matches_reference_expansion(monkeypatch, f, n, intervals,
+                                               resolution, rel, block):
+    if block is not None:
+        monkeypatch.setattr(approx, "GRID_BLOCK", block)
     result = gl.bernstein_approx(f, n, intervals=intervals, error_resolution=resolution)
+    if resolution is None:
+        resolution = result.error.resolution
     table, error = reference_bernstein(f, n, intervals, resolution)
     assert result.poly == result.pres.poly(table)
     assert result.error.lower == (pytest.approx(error, rel=rel) if rel else error)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gelfand_lab import spectrum
+from gelfand_lab import approx, spectrum
 from gelfand_lab.cli import main
 
 LINE = "algebra Line ;\ngenerator x : selfadjoint ;\n"
@@ -219,6 +219,35 @@ def test_approx_epsilon_search(capsys):
             main(argv)
         assert exc.value.code == 1
         assert "--degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+def test_approx_epsilon_must_be_positive_and_finite(capsys, monkeypatch, epsilon):
+    # no degree reaches such an epsilon: it is rejected before the search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the degree search ran")
+    monkeypatch.setattr(approx, "bernstein_approx", no_search)
+    code, out, err = run(capsys, "approx", "--target", "exp",
+                         f"--epsilon={epsilon}", "--max-degree", "64")
+    assert code == 1
+    assert out == ""
+    assert "epsilon must be positive and finite" in err
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "-1", "nan", "-1e-300", "1e999", "x"])
+def test_tolerance_must_be_nonnegative_and_finite(tmp_path, capsys, tolerance):
+    circle = tmp_path / "c.star"
+    circle.write_text("algebra C ;\ngenerator z : free ;\nrelation z*adj(z) - 1 ;\n",
+                      encoding="utf-8")
+    # an infinite tolerance accepted z = 5 on the circle as valid
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum-check", str(circle), "--char", "z = (5.0+0i)",
+              f"--tolerance={tolerance}"])
+    assert exc.value.code == 1
+    assert "tolerance must be a nonnegative finite number" in capsys.readouterr().err
+    code, out, _ = run(capsys, "spectrum-check", str(circle), "--char",
+                       "z = (0.6+0.8i)", "--tolerance", "0")
+    assert code == 0 and out.startswith("valid")
 
 
 @pytest.mark.parametrize("argv", [

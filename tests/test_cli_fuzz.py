@@ -90,13 +90,13 @@ SHARED = {
     ("free", "presentation"): ["@plain.alg"],
     ("approx", "target"): ["square", "abs-shift", "exp", "sine"],
     "degree": ["0", "1", "2", "3", "4"],
-    "epsilon": ["0.5", "0.1", "0.01"],
+    "epsilon": ["0.5", "0.1", "0.01", "0", "-1", "nan", "inf"],
     "max_degree": ["4", "16"],
     "resolution": ["3", "5", "17"],
     "bound": ["1", "4", "16"],
     "samples": ["1", "10", "100"],
     "seed": ["0", "7"],
-    "tolerance": ["1e-6", "1e-12", "0"],
+    "tolerance": ["1e-6", "1e-12", "0", "-1", "nan", "inf"],
     "mode": ["star", "algebra"],
 }
 
