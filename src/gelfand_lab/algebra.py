@@ -38,6 +38,8 @@ RawTable = dict[Monomial, ComplexRational]
 # Gaussian-integer numerators (re, im) over a denominator kept beside them
 IntTable = dict[Monomial, tuple[int, int]]
 IntTerms = tuple[tuple[Monomial, tuple[int, int]], ...]
+# (den, table): a coefficient table in the scalars.to_numerators format
+IntForm = tuple[int, IntTable]
 
 MODE_ALGEBRA = "algebra"
 MODE_STAR = "star-algebra"
@@ -102,7 +104,7 @@ def raw_add_into(acc: RawTable, terms: Iterable[tuple[Monomial, ComplexRational]
 
 def raw_mul(a: Mapping[Monomial, ComplexRational],
             b: Mapping[Monomial, ComplexRational]) -> RawTable:
-    return dict(_from_int_table(*_int_mul(a.items(), b.items())))
+    return dict(_from_int_table(*_int_mul(_int_table(a.items()), _int_table(b.items()))))
 
 
 def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) -> RawTable:
@@ -131,7 +133,7 @@ def substitute(terms: Iterable[tuple[Monomial, object]], values: Sequence,
 # integer tables: Gaussian-integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
-def _int_table(items: Iterable[tuple[Monomial, ComplexRational]]) -> tuple[int, IntTable]:
+def _int_table(items: Iterable[tuple[Monomial, ComplexRational]]) -> IntForm:
     """(den, {mono: (re, im)}) through scalars.to_numerators."""
     items = tuple(items)
     den, re, im = to_numerators(c for _, c in items)
@@ -143,6 +145,14 @@ def _from_int_table(den: int, table: IntTable) -> Terms:
     monos = [m for m, (x, y) in table.items() if x or y]
     return tuple(zip(monos, from_numerators(den, [table[m][0] for m in monos],
                                             [table[m][1] for m in monos])))
+
+
+def _lowest(den: int, table: IntTable) -> IntForm:
+    """(den, table) with gcd(den, *numerators) divided out."""
+    g = math.gcd(den, *(x for pair in table.values() for x in pair))
+    if g == 1:
+        return den, table
+    return den // g, {m: (x // g, y // g) for m, (x, y) in table.items()}
 
 
 def _add_shifted(table: IntTable, terms: Iterable[tuple[Monomial, tuple[int, int]]],
@@ -165,16 +175,59 @@ def _add_shifted(table: IntTable, terms: Iterable[tuple[Monomial, tuple[int, int
     return new
 
 
-def _int_mul(a: Iterable[tuple[Monomial, ComplexRational]],
-             b: Iterable[tuple[Monomial, ComplexRational]]) -> tuple[int, IntTable]:
-    """The product of two coefficient sequences as (den, integer table)."""
-    den_a, a_ints = _int_table(a)
-    den_b, b_ints = _int_table(b)
+def _int_mul(a: IntForm, b: IntForm) -> IntForm:
+    """The raw product of two integer forms, over den_a * den_b."""
+    (den_a, a_ints), (den_b, b_ints) = a, b
     b_terms = tuple(b_ints.items())
     table: IntTable = {}
     for m, (x, y) in a_ints.items():
         _add_shifted(table, b_terms, m, x, y)
     return den_a * den_b, table
+
+
+def _product(rules: Sequence[RewriteRule], a: IntForm, b: IntForm) -> IntForm:
+    """The normal form of a * b, in lowest terms."""
+    return _reduce(rules, *_int_mul(a, b))
+
+
+def _unit(pres: "StarPresentation") -> IntForm:
+    """The normal form of 1 (zero under a constant relation)."""
+    return _reduce(pres._rules, 1, {(0,) * len(pres.generators): (1, 0)})
+
+
+def _check_power(a: "StarPoly", n: int) -> None:
+    """Raise UnsupportedError before a**n when its expansion could pass
+    MAX_POWER_TERMS: reduction never raises the degree, so no table of the
+    expansion holds more monomials than there are of degree <= n * deg."""
+    d, k = a.degree(), len(a.pres.generators)
+    if d > 0:
+        check_cap(f"power expansion to C({n}*{d} + {k}, {k}) monomials",
+                  math.comb(n * d + k, k), MAX_POWER_TERMS)
+
+
+def _combine(parts: Iterable[tuple[tuple[int, int], int, IntTable]]) -> IntForm:
+    """The sum of (re + im*i) * table / den over the (re, im), den, table
+    parts, over the lcm of their denominators.  Entries come out in
+    descending graded-lex order, none zero, with the gcd divided out, so a
+    combination of normal forms is a normal form."""
+    parts = tuple(parts)
+    den = math.lcm(*(d for _, d, _ in parts))
+    acc: IntTable = {}
+    for (re, im), d, table in parts:
+        re, im = re * (den // d), im * (den // d)
+        for m, (x, y) in table.items():
+            dx, dy = re * x - im * y, re * y + im * x
+            old = acc.get(m)
+            acc[m] = (dx, dy) if old is None else (old[0] + dx, old[1] + dy)
+    monos = sorted((m for m, (x, y) in acc.items() if x or y), key=grlex_key,
+                   reverse=True)
+    return _lowest(den, {m: acc[m] for m in monos})
+
+
+def _involute_ints(adjoint: Sequence[int], table: IntTable) -> IntTable:
+    """The involution on an integer table: each exponent moves to its
+    partner slot and each imaginary numerator changes sign."""
+    return {mono_involute(adjoint, m): (x, -y) for m, (x, y) in table.items()}
 
 
 def sort_terms(table: Mapping[Monomial, ComplexRational]) -> Terms:
@@ -238,12 +291,16 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
     """
     if not rules:
         return sort_terms(raw), []
-    return _reduce(rules, *_int_table(raw.items()), record)
+    steps: list[RewriteStep] = []
+    normal = _reduce(rules, *_int_table(raw.items()), steps if record else None)
+    return _from_int_table(*normal), steps
 
 
 def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
-            record: bool = False) -> tuple[Terms, list[RewriteStep]]:
-    """The division loop of normalize_table on an integer table over den.
+            steps: list[RewriteStep] | None = None) -> IntForm:
+    """The division loop of normalize_table on an integer table over den,
+    returning the normal form as an integer form in lowest terms; the steps
+    are appended to ``steps`` when it is given.
 
     A heap of negated graded-lex keys yields the largest monomial left.  A
     reduction only adds monomials smaller than the one it removes, so a
@@ -254,7 +311,6 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
     heap = [(-sum(m), tuple(map(neg, m)), m) for m in table]
     heapq.heapify(heap)
     normal: IntTable = {}
-    steps: list[RewriteStep] = []
     count, cap = 0, MAX_REWRITE_STEPS
     while heap:
         mono = heapq.heappop(heap)[2]
@@ -271,7 +327,7 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
                 f"normalization exceeds the cap of {cap} rewrite steps "
                 f"(last rule index {rule.index})")
         shift = mono_quotient(mono, rule.lead)
-        if record:
+        if steps is not None:
             coeff = ComplexRational(Fraction(re, den), Fraction(im, den))
             steps.append(RewriteStep(rule.index, shift, coeff / rule.coeff))
         # subtract (re + im*i)/den * x^shift * (lead + tail_ints/tail_den);
@@ -284,7 +340,7 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
             normal = {m: (x * scale, y * scale) for m, (x, y) in normal.items()}
         for m in _add_shifted(table, rule.tail_ints, shift, -re // g, -im // g):
             heapq.heappush(heap, (-sum(m), tuple(map(neg, m)), m))
-    return _from_int_table(den, normal), steps
+    return _lowest(den, normal)
 
 
 def verify_rewrite_trace(pres: "StarPresentation",
@@ -407,8 +463,7 @@ class StarPresentation:
                 for rule, sign in ((ri, 1), (rj, -1)):
                     _add_shifted(s_poly, rule.tail_ints, mono_quotient(lcm, rule.lead),
                                  sign * (den // rule.tail_den), 0)
-                reduced, _ = _reduce(rules, den, s_poly)
-                if reduced:
+                if _reduce(rules, den, s_poly)[1]:
                     raise PresentationError(
                         f"relations {i} and {j} are not confluent: "
                         f"unresolved overlap at {lcm}")
@@ -543,14 +598,27 @@ class StarPoly:
 
     ``terms`` is a tuple of (monomial, coefficient) pairs sorted in
     descending graded-lex order; no monomial is reducible and no coefficient
-    is zero.  Instances are immutable and hashable.
+    is zero.  ``int_form`` holds the same normal form in the
+    ``scalars.to_numerators`` format, ``(den, {mono: (re, im)})`` in the
+    same order, with gcd(den, *re, *im) == 1; sums, products and morphism
+    images are computed on it.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres", "terms", "int_form")
 
     def __init__(self, pres: StarPresentation, terms: Terms) -> None:
         object.__setattr__(self, "pres", pres)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "int_form", _int_table(terms))
+
+    @classmethod
+    def _from_ints(cls, pres: StarPresentation, form: IntForm) -> "StarPoly":
+        """The element of a normal form already in ``int_form`` shape."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "terms", _from_int_table(*form))
+        object.__setattr__(self, "int_form", form)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StarPoly is immutable")
@@ -584,38 +652,39 @@ class StarPoly:
 
     # ---- arithmetic ----
 
-    def __add__(self, other: Union["StarPoly", ScalarLike]) -> "StarPoly":
+    def _plus(self, other: Union["StarPoly", ScalarLike], sign: int) -> "StarPoly":
         if not isinstance(other, StarPoly):
             other = self.pres.scalar(other)
         self._require_same(other)
-        acc = self.as_table()
-        raw_add_into(acc, other.terms)
         # every monomial of a sum of normal forms is irreducible already
-        return StarPoly(self.pres, sort_terms(acc))
+        return StarPoly._from_ints(self.pres, _combine(
+            (((1, 0), *self.int_form), ((sign, 0), *other.int_form))))
+
+    def __add__(self, other: Union["StarPoly", ScalarLike]) -> "StarPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "StarPoly":
-        return StarPoly(self.pres, tuple((m, -c) for m, c in self.terms))
+        den, table = self.int_form
+        return StarPoly._from_ints(
+            self.pres, (den, {m: (-x, -y) for m, (x, y) in table.items()}))
 
     def __sub__(self, other: Union["StarPoly", ScalarLike]) -> "StarPoly":
-        if not isinstance(other, StarPoly):
-            other = self.pres.scalar(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: ScalarLike) -> "StarPoly":
         return self.pres.scalar(other) - self
 
     def __mul__(self, other: Union["StarPoly", ScalarLike]) -> "StarPoly":
         if not isinstance(other, StarPoly):
-            c = ComplexRational.coerce(other)
-            if c.is_zero():
-                return self.pres.zero()
-            return StarPoly(self.pres, tuple((m, k * c) for m, k in self.terms))
+            c_den, c_re, c_im = to_numerators([ComplexRational.coerce(other)])
+            den, table = self.int_form
+            return StarPoly._from_ints(self.pres, _combine(
+                [((c_re[0], c_im[0]), c_den * den, table)]))
         self._require_same(other)
-        pres = self.pres
-        terms, _ = _reduce(pres._rules, *_int_mul(self.terms, other.terms))
-        return StarPoly(pres, terms)
+        return StarPoly._from_ints(
+            self.pres, _product(self.pres._rules, self.int_form, other.int_form))
 
     def __rmul__(self, other: ScalarLike) -> "StarPoly":
         return self.__mul__(other)
@@ -623,19 +692,18 @@ class StarPoly:
     def __pow__(self, n: int) -> "StarPoly":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("polynomial exponent must be a nonnegative integer")
-        # reduction never raises the degree, so no table of the expansion
-        # holds more monomials than there are of degree <= n * deg
-        d, k = self.degree(), len(self.pres.generators)
-        if d > 0:
-            check_cap(f"power expansion to C({n}*{d} + {k}, {k}) monomials",
-                      math.comb(n * d + k, k), MAX_POWER_TERMS)
-        return power(self, n, self.pres.one())
+        _check_power(self, n)
+        rules = self.pres._rules
+        return StarPoly._from_ints(self.pres, power(
+            self.int_form, n, _unit(self.pres), lambda a, b: _product(rules, a, b)))
 
     def involute(self) -> "StarPoly":
         """The image under the involution; rejects algebra-mode elements."""
         if not self.pres.is_star:
             raise AlgebraError("underlying algebra carries no involution")
-        return self.pres.poly(raw_involute(self.pres.adjoint, self.as_table()))
+        den, table = self.int_form
+        return StarPoly._from_ints(self.pres, _reduce(
+            self.pres._rules, den, _involute_ints(self.pres.adjoint, table)))
 
     # ---- identity ----
 
@@ -698,7 +766,7 @@ class Morphism:
                 raise MorphismError("generator image lives over the wrong presentation")
         morphism = cls(source, target, ordered, star)
         for k, rel in enumerate(source.relations):
-            if not substitute(rel, ordered, target.zero()).is_zero():
+            if _substitute_ints(target, ordered, _int_table(rel))[1]:
                 raise MorphismError(
                     f"generator assignment does not kill relation {k}")
         if star:
@@ -714,7 +782,8 @@ class Morphism:
     def apply(self, a: StarPoly) -> StarPoly:
         if a.pres != self.source:
             raise AlgebraError("element does not live over the morphism source")
-        return substitute(a.terms, self.images, self.target.zero())
+        return StarPoly._from_ints(
+            self.target, _substitute_ints(self.target, self.images, a.int_form))
 
     def __call__(self, a: StarPoly) -> StarPoly:
         return self.apply(a)
@@ -723,6 +792,36 @@ class Morphism:
         kind = "*-morphism" if self.star else "morphism"
         return (f"<{kind} {self.source.name} -> {self.target.name} on "
                 f"{len(self.images)} generators>")
+
+
+def _substitute_ints(target: StarPresentation, images: Sequence[StarPoly],
+                     form: IntForm) -> IntForm:
+    """The image of an integer form under the generator assignment, as an
+    integer form over the target.
+
+    Each generator's image has a power table up to the largest exponent the
+    form uses, built by successive reduced products.  Each term's product
+    of powers is reduced, and the terms are summed over one lcm.
+    """
+    den, table = form
+    rules = target._rules
+    tops = map(max, zip(*table)) if table else ()
+    powers = []
+    for img, top in zip(images, tops):
+        _check_power(img, top)
+        row = [img.int_form]
+        while len(row) < top:
+            row.append(_product(rules, row[-1], row[0]))
+        powers.append(row)
+    parts = []
+    for mono, coeff in table.items():
+        term = None
+        for row, e in zip(powers, mono):
+            if e:
+                term = row[e - 1] if term is None else _product(rules, term, row[e - 1])
+        t_den, t_table = _unit(target) if term is None else term
+        parts.append((coeff, den * t_den, t_table))
+    return _combine(parts)
 
 
 def identity_morphism(pres: StarPresentation) -> Morphism:

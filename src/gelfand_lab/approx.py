@@ -218,6 +218,8 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
                                 lower_sq=max_sq, upper_exact=upper_exact)
     if subject.dim != box.dimension():
         raise AlgebraError("target dimension does not match the box")
+    check_cap(f"grid of {resolution}^{subject.dim} points",
+              resolution ** subject.dim, MAX_GRID_POINTS)
     np = require_numpy()
     coords = [np.linspace(float(lo), float(hi), resolution).tolist()
               for lo, hi in box.intervals]

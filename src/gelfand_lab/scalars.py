@@ -9,6 +9,7 @@ values, quadrature, matrix factorizations).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Union
@@ -21,12 +22,19 @@ ScalarLike = Union[int, Fraction, "ComplexRational"]
 FLOAT_OVERFLOW = "floating point overflow: the value is too large for a float"
 
 
-def to_float(q: RationalLike) -> float:
-    """``float(q)``, or AlgebraError when q lies outside the float range."""
+def ratio_to_float(x: int, den: int) -> float:
+    """x / den for ints x and den > 0 as the correctly rounded float (int
+    true division), or AlgebraError when it lies outside the float range."""
     try:
-        return float(q)
+        return x / den
     except OverflowError:
         raise AlgebraError(FLOAT_OVERFLOW) from None
+
+
+def to_float(q: RationalLike) -> float:
+    """``float(q)``, from its numerator and denominator, or AlgebraError
+    when q lies outside the float range."""
+    return ratio_to_float(q.numerator, q.denominator)
 
 
 def sqrt_to_float(q: RationalLike) -> float:
@@ -45,15 +53,16 @@ def sqrt_to_float(q: RationalLike) -> float:
         return value if int(value) <= root else math.nextafter(value, 0.0)
 
 
-def power(base, n: int, one):
-    """base**n for an int n >= 0 by square-and-multiply, starting from one."""
+def power(base, n: int, one, mul=operator.mul):
+    """base**n for an int n >= 0 by square-and-multiply with ``mul``,
+    starting from one."""
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -175,7 +184,11 @@ class ComplexRational:
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(to_float(self.re), to_float(self.im))
+        re, im = self.re, self.im
+        try:
+            return complex(re.numerator / re.denominator, im.numerator / im.denominator)
+        except OverflowError:
+            raise AlgebraError(FLOAT_OVERFLOW) from None
 
     def literal(self) -> str:
         """Canonical source spelling: "3", "-1/2", or "(a+bi)"."""

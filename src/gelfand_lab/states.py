@@ -31,7 +31,7 @@ from .algebra import (Monomial, StarPoly, StarPresentation, grlex_key,
                       mono_involute, mono_mul)
 from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
 from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
-                      to_float, to_numerators)
+                      ratio_to_float, to_float, to_numerators)
 from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
 
 Value = Union[ComplexRational, complex]
@@ -42,6 +42,14 @@ NULL_THRESHOLD = 1e-9
 # yields.  At the cap, `gns` of the Gaussian state on the line (degree 159)
 # ends in about 3 s on a 2-vCPU VM.
 MAX_GNS_BASIS = 160
+# Largest exact Gram-Schmidt work n^2 * r * B^2: n basis monomials, r a bound
+# on the rank (the support size of a point state, else n), B the bit length
+# of the Gram's common denominator plus that of its largest numerator, and
+# four times that on a complex Gram.  Atomic states on the line and the
+# circle (2 to 40 atoms, degrees 40 to 159) took 0.8 to 1.3 ps per unit
+# above 5e12 on a 2-vCPU VM, so a run at the cap ends in about 7 to 12 s;
+# the Gaussian state at degree 159 counts 4.9e12.
+MAX_GNS_WORK = 2**43
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +65,7 @@ class State:
     source: str  # canonical state text, read back by parse_state
     functional: Callable[[StarPoly], Value]  # a -> E(a)
     moment: Callable[[Monomial], Value]  # raw monomial m -> E(m)
+    support: int | None = None  # support points, which bound every Gram rank
 
     def expect(self, a: StarPoly) -> Value:
         return expect(self, a)
@@ -79,7 +88,7 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
     # float points need not satisfy the relations exactly
     moment = _exact_point_moment(pairs) if exact \
         else _normal_form_moment(pres, functional)
-    return State(kind, pres, exact, False, source, functional, moment)
+    return State(kind, pres, exact, False, source, functional, moment, len(pairs))
 
 
 def _normal_form_moment(pres: StarPresentation,
@@ -377,15 +386,24 @@ def _gns_exact(model: GnsModel) -> GnsModel:
     gram = model.gram
     n = len(model.basis)
     # scale * G is a matrix of Gaussian integers, flat in row-major order,
-    # so column j is g_re[j::n], g_im[j::n].
-    scale, g_re, g_im = to_numerators(z for row in gram for z in row)
+    # so column j is g_re[j::n], g_im[j::n].  Its entries are moments, few
+    # of them distinct, so each distinct value is converted once.
+    distinct = list({z for row in gram for z in row})
+    scale, d_re, d_im = to_numerators(distinct)
+    real = not any(d_im)
+    rank = min(n, model.state.support or n)
+    bits = scale.bit_length() + max((abs(x).bit_length() for x in d_re + d_im), default=0)
+    check_cap(f"exact GNS work {n}^2 * {rank} * {bits}^2{'' if real else ' * 4'}",
+              n * n * rank * bits * bits * (1 if real else 4), MAX_GNS_WORK)
+    nums = dict(zip(distinct, zip(d_re, d_im)))
+    g_re = [nums[z][0] for row in gram for z in row]
+    g_im = [nums[z][1] for row in gram for z in row]
     # The current vector v and its image scale * G v are held as one list
     # of 2n Gaussian-integer numerators (re and im parts) over a positive
     # den.  G is Hermitian and the kept vectors u are G-orthogonal, so the
     # projection coefficient of v on u is conj((G u)[j]) / (G u)[slot of u],
     # here conj(u[n + j]) / pivot, and the squared length of v is v[n + j].
     # On a real G every imaginary numerator stays 0, so only v_re moves.
-    real = not any(g_im)
     zeros = [0] * (2 * n)
     ortho: list[tuple[list[int], list[int], int, int]] = []
     null: list[tuple[ComplexRational, ...]] = []
@@ -429,12 +447,12 @@ def _gns_exact(model: GnsModel) -> GnsModel:
             ortho.append((v_re, v_im, den, pivot))
     orthonormal = []
     for u_re, u_im, u_den, pivot in ortho:
-        length = to_float(Fraction(pivot, u_den * scale)) ** 0.5
+        length = ratio_to_float(pivot, u_den * scale) ** 0.5
         if not length:
             raise AlgebraError("floating point underflow: a squared length "
                                "of the GNS basis is below the float range")
-        row = tuple(complex(z) / length
-                    for z in from_numerators(u_den, u_re[:n], u_im[:n]))
+        row = tuple(complex(ratio_to_float(x, u_den), ratio_to_float(y, u_den)) / length
+                    for x, y in zip(u_re[:n], u_im[:n]))
         if not all(map(cmath.isfinite, row)):
             raise AlgebraError(FLOAT_OVERFLOW)
         orthonormal.append(row)

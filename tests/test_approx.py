@@ -272,6 +272,19 @@ def test_bernstein_node_cap_raises_before_any_node():
         gl.bernstein_approx(TargetFunction("plane", 2, fn=lambda p: 0.0), 256)
 
 
+def test_function_grid_cap_raises_before_any_point():
+    calls = []
+    f = TargetFunction("probe", 1, fn=lambda p: calls.append(p) or 0.0)
+    box = CompactBox.from_intervals(line(), [(0, 1)])
+    over = approx.MAX_GRID_POINTS + 1
+    with pytest.raises(UnsupportedError, match=f"grid of {over}\\^1 points"):
+        gl.seminorm_on_box(f, box, resolution=over)
+    with pytest.raises(UnsupportedError, match="grid of 2000\\^2 points"):
+        gl.seminorm_on_box(TargetFunction("plane", 2, fn=lambda p: 0.0),
+                           CompactBox.from_intervals(disk(), [(0, 1), (0, 1)]), 2000)
+    assert calls == []
+
+
 def test_three_axis_error_grid_is_one_block():
     # the 3-axis contraction order depends on the operand shapes, and a
     # block of fewer rows moves the last bits: under the caps every 3-axis

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gelfand_lab import approx, spectrum
+from gelfand_lab import approx, spectrum, states
 from gelfand_lab.cli import main
 
 LINE = "algebra Line ;\ngenerator x : selfadjoint ;\n"
@@ -314,6 +314,20 @@ def test_gns_basis_cap_exits_one_at_once(files, command):
     assert proc.returncode == 1
     assert "GNS basis of irreducible monomials up to degree 3000" in proc.stderr
     assert "exceeds the cap of 160" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_exact_gns_work_cap_exits_one_at_once(files):
+    # eight rational atoms at degree 159 ran for 108 s before this cap
+    atoms = " ; ".join(f"(x = {k}/{d}) : 1/8" for k, d in
+                       enumerate((5, 11, 17, 23, 29, 37, 43, 53), start=1))
+    proc = subprocess.run([sys.executable, "-m", "gelfand_lab.cli", "gns",
+                           files["line"], "--state", f"state atomic {{ {atoms} }}",
+                           "--degree", "159"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert "exact GNS work 160^2 * 8 * 22656^2 exceeds the cap of " \
+        f"{states.MAX_GNS_WORK}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -4,13 +4,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gelfand_lab import ComplexRational
 from gelfand_lab.errors import AlgebraError, UnsupportedError
-from gelfand_lab.scalars import (from_numerators, rational_literal, sqrt_to_float,
-                                 to_numerators)
+from gelfand_lab.scalars import (from_numerators, ratio_to_float, rational_literal,
+                                 sqrt_to_float, to_float, to_numerators)
 
 from helpers import disk
 
@@ -108,6 +108,38 @@ def test_float_conversion_out_of_range():
     for big in (ComplexRational(10 ** 400), ComplexRational(0, -10 ** 400)):
         with pytest.raises(AlgebraError, match="floating point overflow"):
             complex(big)
+
+
+def _float_or_overflow(q):
+    try:
+        return repr(float(q))
+    except OverflowError:
+        return "overflow"
+
+
+wide_ints = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.integers(-2 ** 1100, 2 ** 1100))
+
+
+@given(wide_ints, wide_ints.map(lambda d: abs(d) + 1), st.integers(1, 10 ** 6))
+@example(2 ** 1024 - 2 ** 970, 1, 1)  # the float maximum's rounding boundary
+@example(2 ** 1024 - 2 ** 971, 1, 3)
+@example(-(10 ** 400), 3, 1)
+@example(1, 2 ** 1075, 5)  # the smallest subnormal's rounding boundary
+def test_float_conversion_matches_float_of_fraction(x, den, k):
+    """to_float, ratio_to_float and complex() divide the numerators and
+    round as float(Fraction) does; past the float range they raise."""
+    q = Fraction(x, den)
+    want = _float_or_overflow(q)
+    results = []
+    for convert in (lambda: to_float(q), lambda: ratio_to_float(x * k, den * k),
+                    lambda: complex(ComplexRational(q, -q)).real,
+                    lambda: complex(ComplexRational(-q, q)).imag):
+        try:
+            results.append(repr(convert()))
+        except AlgebraError as exc:
+            assert "floating point overflow" in str(exc)
+            results.append("overflow")
+    assert results == [want] * 4
 
 
 def test_sqrt_of_exact_square():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
 from gelfand_lab.algebra import raw_involute, raw_mul
-from gelfand_lab.errors import AlgebraError, GnsError, StateError
+from gelfand_lab.errors import AlgebraError, GnsError, StateError, UnsupportedError
 from gelfand_lab.scalars import ONE
 
 from helpers import circle, disk, line, nil, rand_poly, rand_scalar
@@ -174,6 +174,21 @@ def test_positivity_and_cauchy_schwarz():
 # ---------------------------------------------------------------------------
 # Gram matrices
 # ---------------------------------------------------------------------------
+
+def test_exact_gns_work_bounds_the_rank_by_the_support(monkeypatch):
+    two = gl.parse_state("state atomic { (x = 1/3) : 1/2 ; (x = -1/3) : 1/2 }", line())
+    ring = gl.parse_state("state atomic { (z = (3/5+4/5i) ; adj(z) = (3/5-4/5i)) : 1 }",
+                          circle())
+    gaussian = gl.gaussian_state(line())
+    # the cap admits the largest Gaussian basis
+    assert gl.gns_basis(gl.gram_matrix(gaussian, 159)).rank() == 160
+    monkeypatch.setattr(gl.states, "MAX_GNS_WORK", 0)
+    for state, degree, count in [(two, 4, r"5\^2 \* 2 \* \d+\^2"),
+                                 (gaussian, 4, r"5\^2 \* 5 \* 8\^2"),
+                                 (ring, 1, r"3\^2 \* 1 \* \d+\^2 \* 4")]:
+        with pytest.raises(UnsupportedError, match=f"exact GNS work {count} exceeds"):
+            gl.gns_basis(gl.gram_matrix(state, degree))
+
 
 def test_gram_matrix_gaussian_is_hankel():
     st = gl.gaussian_state(line())
