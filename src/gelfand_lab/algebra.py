@@ -55,10 +55,6 @@ MAX_POWER_TERMS = 2500
 # monomial helpers (graded-lex order throughout)
 # ---------------------------------------------------------------------------
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def grlex_key(m: Monomial) -> tuple[int, Monomial]:
     return (sum(m), m)
 
@@ -188,21 +184,6 @@ def _int_mul(a: IntForm, b: IntForm) -> IntForm:
 def _product(rules: Sequence[RewriteRule], a: IntForm, b: IntForm) -> IntForm:
     """The normal form of a * b, in lowest terms."""
     return _reduce(rules, *_int_mul(a, b))
-
-
-def _unit(pres: "StarPresentation") -> IntForm:
-    """The normal form of 1 (zero under a constant relation)."""
-    return _reduce(pres._rules, 1, {(0,) * len(pres.generators): (1, 0)})
-
-
-def _check_power(a: "StarPoly", n: int) -> None:
-    """Raise UnsupportedError before a**n when its expansion could pass
-    MAX_POWER_TERMS: reduction never raises the degree, so no table of the
-    expansion holds more monomials than there are of degree <= n * deg."""
-    d, k = a.degree(), len(a.pres.generators)
-    if d > 0:
-        check_cap(f"power expansion to C({n}*{d} + {k}, {k}) monomials",
-                  math.comb(n * d + k, k), MAX_POWER_TERMS)
 
 
 def _combine(parts: Iterable[tuple[tuple[int, int], int, IntTable]]) -> IntForm:
@@ -516,11 +497,10 @@ class StarPresentation:
     # ---- element constructors ----
 
     def poly(self, table: Mapping[Monomial, ComplexRational]) -> "StarPoly":
-        terms, _ = normalize_table(self._rules, table)
-        return StarPoly(self, terms)
+        return StarPoly._from_ints(self, _reduce(self._rules, *_int_table(table.items())))
 
     def zero(self) -> "StarPoly":
-        return StarPoly(self, ())
+        return StarPoly._from_ints(self, (1, {}))
 
     def scalar(self, value: ScalarLike) -> "StarPoly":
         c = ComplexRational.coerce(value)
@@ -596,19 +576,19 @@ class StarPresentation:
 class StarPoly:
     """An element of a presented algebra, stored in normal form.
 
-    ``terms`` is a tuple of (monomial, coefficient) pairs sorted in
-    descending graded-lex order; no monomial is reducible and no coefficient
-    is zero.  ``int_form`` holds the same normal form in the
-    ``scalars.to_numerators`` format, ``(den, {mono: (re, im)})`` in the
-    same order, with gcd(den, *re, *im) == 1; sums, products and morphism
-    images are computed on it.  Instances are immutable and hashable.
+    ``int_form`` is the normal form in the ``scalars.to_numerators``
+    format, ``(den, {mono: (re, im)})``: the monomials in descending
+    graded-lex order, none reducible, no entry zero, and gcd(den, *re, *im)
+    == 1, so it is canonical and equality reads it.  ``terms``, the
+    (monomial, coefficient) pairs in the same order, is derived from it
+    when read.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("pres", "terms", "int_form")
+    __slots__ = ("pres", "int_form")
 
     def __init__(self, pres: StarPresentation, terms: Terms) -> None:
+        """The element whose normal form is ``terms``; see ``pres.poly``."""
         object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "int_form", _int_table(terms))
 
     @classmethod
@@ -616,7 +596,6 @@ class StarPoly:
         """The element of a normal form already in ``int_form`` shape."""
         self = object.__new__(cls)
         object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "terms", _from_int_table(*form))
         object.__setattr__(self, "int_form", form)
         return self
 
@@ -625,20 +604,22 @@ class StarPoly:
 
     # ---- queries ----
 
+    @property
+    def terms(self) -> Terms:
+        return _from_int_table(*self.int_form)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.int_form[1]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return mono_degree(self.terms[0][0])
+        table = self.int_form[1]
+        return sum(next(iter(table))) if table else -1
 
     def coeff(self, mono: Monomial) -> ComplexRational:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return ZERO
+        den, table = self.int_form
+        x, y = table.get(mono, (0, 0))
+        return ComplexRational(Fraction(x, den), Fraction(y, den))
 
     def constant_term(self) -> ComplexRational:
         return self.coeff((0,) * len(self.pres.generators))
@@ -692,10 +673,16 @@ class StarPoly:
     def __pow__(self, n: int) -> "StarPoly":
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("polynomial exponent must be a nonnegative integer")
-        _check_power(self, n)
+        # reduction never raises the degree, so no table of the expansion
+        # holds more monomials than there are of degree <= n * deg
+        d, k = self.degree(), len(self.pres.generators)
+        if d > 0:
+            check_cap(f"power expansion to C({n}*{d} + {k}, {k}) monomials",
+                      math.comb(n * d + k, k), MAX_POWER_TERMS)
         rules = self.pres._rules
+        one = _reduce(rules, 1, {(0,) * k: (1, 0)})  # zero under a constant relation
         return StarPoly._from_ints(self.pres, power(
-            self.int_form, n, _unit(self.pres), lambda a, b: _product(rules, a, b)))
+            self.int_form, n, one, lambda a, b: _product(rules, a, b)))
 
     def involute(self) -> "StarPoly":
         """The image under the involution; rejects algebra-mode elements."""
@@ -712,10 +699,11 @@ class StarPoly:
             return self == self.pres.scalar(other)
         if not isinstance(other, StarPoly):
             return NotImplemented
-        return self.pres == other.pres and self.terms == other.terms
+        return self.pres == other.pres and self.int_form == other.int_form
 
     def __hash__(self) -> int:
-        return hash((self.pres, self.terms))
+        den, table = self.int_form
+        return hash((self.pres, den, tuple(table.items())))
 
     def __str__(self) -> str:
         from .parsing import format_poly
@@ -766,7 +754,7 @@ class Morphism:
                 raise MorphismError("generator image lives over the wrong presentation")
         morphism = cls(source, target, ordered, star)
         for k, rel in enumerate(source.relations):
-            if _substitute_ints(target, ordered, _int_table(rel))[1]:
+            if not substitute(rel, ordered, target.zero()).is_zero():
                 raise MorphismError(
                     f"generator assignment does not kill relation {k}")
         if star:
@@ -782,8 +770,7 @@ class Morphism:
     def apply(self, a: StarPoly) -> StarPoly:
         if a.pres != self.source:
             raise AlgebraError("element does not live over the morphism source")
-        return StarPoly._from_ints(
-            self.target, _substitute_ints(self.target, self.images, a.int_form))
+        return substitute(a.terms, self.images, self.target.zero())
 
     def __call__(self, a: StarPoly) -> StarPoly:
         return self.apply(a)
@@ -792,36 +779,6 @@ class Morphism:
         kind = "*-morphism" if self.star else "morphism"
         return (f"<{kind} {self.source.name} -> {self.target.name} on "
                 f"{len(self.images)} generators>")
-
-
-def _substitute_ints(target: StarPresentation, images: Sequence[StarPoly],
-                     form: IntForm) -> IntForm:
-    """The image of an integer form under the generator assignment, as an
-    integer form over the target.
-
-    Each generator's image has a power table up to the largest exponent the
-    form uses, built by successive reduced products.  Each term's product
-    of powers is reduced, and the terms are summed over one lcm.
-    """
-    den, table = form
-    rules = target._rules
-    tops = map(max, zip(*table)) if table else ()
-    powers = []
-    for img, top in zip(images, tops):
-        _check_power(img, top)
-        row = [img.int_form]
-        while len(row) < top:
-            row.append(_product(rules, row[-1], row[0]))
-        powers.append(row)
-    parts = []
-    for mono, coeff in table.items():
-        term = None
-        for row, e in zip(powers, mono):
-            if e:
-                term = row[e - 1] if term is None else _product(rules, term, row[e - 1])
-        t_den, t_table = _unit(target) if term is None else term
-        parts.append((coeff, den * t_den, t_table))
-    return _combine(parts)
 
 
 def identity_morphism(pres: StarPresentation) -> Morphism:

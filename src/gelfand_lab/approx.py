@@ -129,6 +129,7 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     if a.is_zero():
         return Fraction(0)
     pres = a.pres
+    lcd, coeffs = a.int_form
     den, ends, _ = to_numerators(q for lo, hi in box.intervals
                                  for q in (lo, (hi - lo) / (resolution - 1)))
     axis_coords = iter([[x0 + k * dx for k in range(resolution)]
@@ -143,15 +144,14 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
         coords = [next(axis_coords) for _ in spans]
         partner = pres.adjoint[gi]
         slots = (gi,) if partner is None or partner == gi else (gi, partner)
-        partials = sorted({tuple(m[i] for i in slots) for m, _ in a.terms})
+        partials = sorted({tuple(m[i] for i in slots) for m in coeffs})
         if partials == [(0,) * len(slots)]:
             continue  # the transform is constant along these axes
         groups.append((slots, partials, coords))
 
     deg = a.degree()
-    lcd, c_re, c_im = to_numerators(c for _, c in a.terms)
     terms = []
-    for (m, _), cr, ci in zip(a.terms, c_re, c_im):
+    for m, (cr, ci) in coeffs.items():
         scale = den ** (deg - sum(m))
         ids = tuple(partials.index(tuple(m[i] for i in slots))
                     for slots, partials, _ in groups)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
 from . import algebra
-from .algebra import Morphism, StarPoly, StarPresentation
+from .algebra import Morphism, StarPoly, StarPresentation, Terms
 from .errors import AlgebraError, CharacterError, UnsupportedError, check_cap
 from .scalars import FLOAT_OVERFLOW, ComplexRational, sqrt_to_float, to_float
 
@@ -67,7 +67,8 @@ class Character:
         return self.values[self.pres.generator_index(which)]
 
 
-def _eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
+def eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
+    """The value of the (monomial, coefficient) pairs at a character's values."""
     if exact:
         return algebra.substitute(terms, values, ComplexRational(0))
     try:
@@ -146,7 +147,7 @@ def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
                         f"conjugate of the value of {g!r}", "conjugacy")
 
     for k, rel in enumerate(pres.relations):
-        out = _eval_terms(rel, values, exact)
+        out = eval_terms(rel, values, exact)
         if not _is_zero(out, tolerance):
             raise CharacterError(f"relation {k} is violated by the assignment",
                                  "relation")
@@ -158,9 +159,14 @@ def gelfand_eval(a: StarPoly, p: Character) -> Value:
 
     Exact when the character is exact (coefficients always are).
     """
-    if a.pres != p.pres:
+    return eval_terms(_terms_over(a, p.pres), p.values, p.exact)
+
+
+def _terms_over(a: StarPoly, pres: StarPresentation) -> Terms:
+    """a.terms, read once for evaluation at characters over pres."""
+    if a.pres != pres:
         raise AlgebraError("element and character live over different presentations")
-    return _eval_terms(a.terms, p.values, p.exact)
+    return a.terms
 
 
 def separating_generator(p: Character, q: Character) -> str | None:
@@ -479,7 +485,8 @@ def relative_compactness_check(subject: Union[CompactBox, SampleSet],
     observed: list[tuple[str, float]] = []
     exceeded: list[str] = []
     for w in witnesses:
-        top = max(_abs(gelfand_eval(w, p)) for p in subject.characters)
+        terms = _terms_over(w, subject.pres)
+        top = max(_abs(eval_terms(terms, p.values, p.exact)) for p in subject.characters)
         name = format_poly(w)
         observed.append((name, top))
         if top > threshold:
@@ -505,8 +512,9 @@ def is_nilpotent(a: StarPoly, bound: int = 16) -> tuple[bool, int | None]:
         power = power * a
         if power.is_zero():
             return True, n
-        check_cap(f"nilpotency search: power {n} with {len(power.terms)} terms",
-                  len(power.terms), algebra.MAX_POWER_TERMS)
+        size = len(power.int_form[1])
+        check_cap(f"nilpotency search: power {n} with {size} terms",
+                  size, algebra.MAX_POWER_TERMS)
     return False, None
 
 
@@ -536,10 +544,11 @@ def radical_vanishing_check(a: StarPoly, sampler: Union[BoxSampler, GridSampler]
     check_cap(f"sample count {count}", count, MAX_SAMPLES)
     nilpotent, exponent = is_nilpotent(a, nilpotent_bound)
     chars = sampler.sample(count)
+    terms = _terms_over(a, chars[0].pres)
     max_abs = 0.0
     witness: Character | None = None
     for p in chars:
-        v = gelfand_eval(a, p)
+        v = eval_terms(terms, p.values, p.exact)
         mag = _abs(v)
         max_abs = max(max_abs, mag)
         if witness is None and not _is_zero(v, tolerance):

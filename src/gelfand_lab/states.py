@@ -27,12 +27,12 @@ from itertools import islice
 from typing import Callable, Mapping, Sequence, Union
 
 from . import spectrum
-from .algebra import (Monomial, StarPoly, StarPresentation, grlex_key,
-                      mono_involute, mono_mul)
+from .algebra import (Monomial, StarPoly, StarPresentation, Terms, grlex_key,
+                      mono_involute, mono_mul, normalize_table)
 from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
 from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
                       ratio_to_float, to_float, to_numerators)
-from .spectrum import Character, CompactBox, axis_layout, format_value, gelfand_eval
+from .spectrum import Character, CompactBox, axis_layout, eval_terms, format_value
 
 Value = Union[ComplexRational, complex]
 
@@ -78,26 +78,26 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
     exact = all(p.exact for p in points)
     pairs = tuple(zip(points, weights if exact else map(float, weights)))
 
-    def functional(a: StarPoly) -> Value:
+    def value(terms: Terms) -> Value:
         total: Value = ComplexRational(0) if exact else 0j
         for char, w in pairs:
-            v = gelfand_eval(a, char)
+            v = eval_terms(terms, char.values, char.exact)
             total = total + (v if exact else complex(v)) * w
         return total
 
     # float points need not satisfy the relations exactly
-    moment = _exact_point_moment(pairs) if exact \
-        else _normal_form_moment(pres, functional)
-    return State(kind, pres, exact, False, source, functional, moment, len(pairs))
+    moment = _exact_point_moment(pairs) if exact else _normal_form_moment(pres, value)
+    return State(kind, pres, exact, False, source, lambda a: value(a.terms), moment,
+                 len(pairs))
 
 
-def _normal_form_moment(pres: StarPresentation,
-                        functional: Callable[[StarPoly], Value]):
-    """E(m) as the functional's value on the normal form of m, which is m
-    itself when the presentation has no rules."""
-    if not pres.rules():
-        return lambda mono: functional(StarPoly(pres, ((mono, ONE),)))
-    return lambda mono: functional(pres.poly({mono: ONE}))
+def _normal_form_moment(pres: StarPresentation, value: Callable[[Terms], Value]):
+    """E(m) as ``value`` on the terms of the normal form of m, which are
+    ((m, 1),) when the presentation has no rules."""
+    rules = pres.rules()
+    if not rules:
+        return lambda mono: value(((mono, ONE),))
+    return lambda mono: value(normalize_table(rules, {mono: ONE})[0])
 
 
 def _exact_point_moment(pairs: Sequence[tuple[Character, Fraction]]):
@@ -263,17 +263,17 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
             moments.append((j - 1) * moments[j - 2])
         return ComplexRational(moments[k])
 
-    def functional(a: StarPoly) -> Value:
+    def value(terms: Terms) -> ComplexRational:
         total = ComplexRational(0)
-        for mono, coeff in a.terms:
+        for mono, coeff in terms:
             total = total + coeff * moment(mono)
         return total
 
     # the recurrence on the raw monomial skips the functional's scalar
     # arithmetic; under rules the monomial must be reduced first
     return State("analytic", pres, True, True,
-                 f"state gaussian({pres.generators[idx]})", functional,
-                 _normal_form_moment(pres, functional) if pres.rules() else moment)
+                 f"state gaussian({pres.generators[idx]})", lambda a: value(a.terms),
+                 _normal_form_moment(pres, value) if pres.rules() else moment)
 
 
 def expect(state: State, a: StarPoly) -> Value:
@@ -305,7 +305,6 @@ class GnsModel:
     degree: int
     basis: tuple[Monomial, ...]
     gram: object  # tuple of tuples of ComplexRational, or complex ndarray
-    exact: bool
     null_space: tuple[tuple, ...] | None = None
     orthonormal: tuple[tuple[complex, ...], ...] | None = None
     moments: dict[Monomial, Value] = field(default_factory=dict, repr=False)
@@ -313,6 +312,10 @@ class GnsModel:
     @property
     def pres(self) -> StarPresentation:
         return self.state.pres
+
+    @property
+    def exact(self) -> bool:
+        return self.state.exact
 
     def basis_poly(self, index: int) -> StarPoly:
         return self.pres.poly({self.basis[index]: ONE})
@@ -372,14 +375,14 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
         if any(gram[i][j] != gram[j][i].conjugate()
                for i in range(n) for j in range(i, n)):
             raise GnsError("Gram matrix is not Hermitian")
-        return GnsModel(state, degree, basis, gram, True, moments=moments)
+        return GnsModel(state, degree, basis, gram, moments=moments)
     np = require_numpy()
     arr = np.array([[complex(v) for v in row] for row in entries], dtype=complex)
     scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
         raise GnsError("Gram matrix is not Hermitian within tolerance")
     arr = (arr + arr.conj().T) / 2.0
-    return GnsModel(state, degree, basis, arr, False, moments=moments)
+    return GnsModel(state, degree, basis, arr, moments=moments)
 
 
 def _gns_exact(model: GnsModel) -> GnsModel:

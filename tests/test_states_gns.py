@@ -727,7 +727,7 @@ def _hand_built(gram):
     size = len(gram)
     st = gl.gaussian_state(line())
     gram = tuple(tuple(ComplexRational(*entry) for entry in row) for row in gram)
-    return gl.GnsModel(st, size - 1, tuple((d,) for d in range(size)), gram, True)
+    return gl.GnsModel(st, size - 1, tuple((d,) for d in range(size)), gram)
 
 
 @pytest.mark.parametrize("gram, value", [
