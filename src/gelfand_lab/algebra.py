@@ -229,12 +229,12 @@ class RewriteRule:
 
     The division loop and the confluence check read the monic tail,
     tail / coeff, as Gaussian-integer numerators ``tail_ints`` over
-    ``tail_den``, fixed once by ``orient``.
+    ``tail_den``, fixed once by ``orient``; the tail itself is the rest of
+    relation ``index`` after its lead term.
     """
 
     lead: Monomial
     coeff: ComplexRational
-    tail: Terms
     index: int  # position in the presentation's relation list
     tail_den: int
     tail_ints: IntTerms
@@ -245,7 +245,7 @@ class RewriteRule:
         (lead, coeff), tail = terms[0], terms[1:]
         monic = tail if coeff == ONE else tuple((m, c / coeff) for m, c in tail)
         den, ints = _int_table(monic)
-        return cls(lead, coeff, tail, index, den, tuple(ints.items()))
+        return cls(lead, coeff, index, den, tuple(ints.items()))
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,6 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
     the difference between input and output as an explicit combination of
     shifted relations, which tests replay to certify soundness.
     """
-    if not rules:
-        return sort_terms(raw), []
     steps: list[RewriteStep] = []
     normal = _reduce(rules, *_int_table(raw.items()), steps if record else None)
     return _from_int_table(*normal), steps
@@ -421,9 +419,8 @@ class StarPresentation:
         pres._check_confluence()
         if mode == MODE_STAR:
             for i, rel in enumerate(relations):
-                image = raw_involute(adjoint, dict(rel))
-                reduced, _ = normalize_table(rules, image)
-                if reduced:
+                den, table = _int_table(rel)
+                if _reduce(rules, den, _involute_ints(adjoint, table))[1]:
                     raise PresentationError(
                         f"relation {i} is not matched under the involution; "
                         f"add its adjoint as a relation")

@@ -62,9 +62,12 @@ class SeminormEstimate:
     lower: float
     upper: float
     resolution: int
-    exact: bool
     lower_sq: Fraction | None = None
     upper_exact: Fraction | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.upper_exact is not None
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,7 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
         upper = to_float(upper_exact)
         if lower > upper:  # float rounding at an exactly attained bound
             lower = upper
-        return SeminormEstimate(lower, upper, resolution, True,
-                                lower_sq=max_sq, upper_exact=upper_exact)
+        return SeminormEstimate(lower, upper, resolution, max_sq, upper_exact)
     if subject.dim != box.dimension():
         raise AlgebraError("target dimension does not match the box")
     check_cap(f"grid of {resolution}^{subject.dim} points",
@@ -224,7 +226,7 @@ def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,
     coords = [np.linspace(float(lo), float(hi), resolution).tolist()
               for lo, hi in box.intervals]
     best = _grid_max_abs(subject.fn, coords)
-    return SeminormEstimate(best, best, resolution, False)
+    return SeminormEstimate(best, best, resolution)
 
 
 def _grid_max_abs(fn: Callable[[tuple[float, ...]], Union[float, complex]],
@@ -289,39 +291,43 @@ def _basis_matrix(combs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _contract(bases: Sequence[np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """The one float evaluator of the Bernstein form: the node tensor
+    contracted with one ``_basis_matrix`` per axis, values in C order."""
+    np = require_numpy()
+    spec = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}[nodes.ndim]
+    # three axes contract one at a time; a single 7-index loop took seconds
+    return np.einsum(spec, *bases, nodes, optimize=nodes.ndim == 3)
+
+
+@dataclass(frozen=True, eq=False)
 class BernsteinResult:
     """Exact Bernstein polynomial plus a stable evaluator and error report.
 
     The polynomial lives on normalized coordinates over [0, 1]^d; when the
     approximation box is not the unit cube the target is sampled through the
-    affine map onto it.
+    affine map onto it.  ``nodes`` holds the node values as complex floats,
+    a tensor of shape (degree + 1,) * d.
     """
 
-    def __init__(self, poly: StarPoly, degree: int,
-                 values: dict[tuple[int, ...], complex],
-                 error: SeminormEstimate) -> None:
-        self.poly = poly
-        self.degree = degree
-        self.pres = poly.pres
-        self._values = values
-        self.error = error
+    poly: StarPoly
+    degree: int
+    nodes: np.ndarray
+    error: SeminormEstimate
+
+    @property
+    def pres(self) -> StarPresentation:
+        return self.poly.pres
 
     def evaluate(self, point: Sequence[float]) -> complex:
         """Stable evaluation at a point of the unit cube."""
-        n = self.degree
-        dim = len(self.pres.generators)
+        dim = self.nodes.ndim
         if len(point) != dim:
             raise AlgebraError(f"expected {dim} coordinates")
         np = require_numpy()
-        combs = _binomials(n)
-        bases = [_basis_matrix(combs, np.array([float(t)]))[0] for t in point]
-        total = 0j
-        for key, val in self._values.items():
-            w = 1.0
-            for axis, k in enumerate(key):
-                w *= bases[axis][k]
-            total += val * w
-        return total
+        combs = _binomials(self.degree)
+        bases = [_basis_matrix(combs, np.array([float(t)])) for t in point]
+        return _contract(bases, self.nodes).item()
 
 
 def bernstein_approx(f: TargetFunction, n: int,
@@ -359,11 +365,10 @@ def bernstein_approx(f: TargetFunction, n: int,
     np = require_numpy()
 
     # node values, exactly when the target supports it
-    nodes = [[lo + (hi - lo) * Fraction(k, n) for k in range(n + 1)]
-             for lo, hi in box_iv]
-    exact_vals: dict[tuple[int, ...], ComplexRational] = {}
-    for key in itertools.product(range(n + 1), repeat=dim):
-        mapped = tuple(axis_nodes[k] for axis_nodes, k in zip(nodes, key))
+    axis_nodes = [[lo + (hi - lo) * Fraction(k, n) for k in range(n + 1)]
+                  for lo, hi in box_iv]
+    exact_vals: list[ComplexRational] = []
+    for mapped in itertools.product(*axis_nodes):
         if f.exact_fn is not None:
             raw = f.exact_fn(mapped)
         else:
@@ -373,12 +378,12 @@ def bernstein_approx(f: TargetFunction, n: int,
                 raise AlgebraError(f"target {f.name!r} is {c} at the node {point}; "
                                    "Bernstein node values must be finite")
             raw = ComplexRational(Fraction(c.real), Fraction(c.imag))
-        exact_vals[key] = raw if isinstance(raw, ComplexRational) else ComplexRational(raw)
+        exact_vals.append(raw if isinstance(raw, ComplexRational) else ComplexRational(raw))
 
     # On each axis B_n f = sum_m C(n, m) * (D^m f)(node 0) * t^m, with D the
     # forward difference over the nodes.  The map is real-linear, so the
     # real and imaginary numerators (the leading axis) go through together.
-    den, re, im = to_numerators(exact_vals.values())
+    den, re, im = to_numerators(exact_vals)
     tensor = np.array([re, im], dtype=object).reshape((2,) + (n + 1,) * dim)
     for axis in range(1, dim + 1):
         rows = []
@@ -396,11 +401,7 @@ def bernstein_approx(f: TargetFunction, n: int,
     # Under the caps a 3-axis grid is one block (161 rows of 40 entries at
     # most): its contraction order depends on the operand shapes, and a
     # smaller block would move the last bits.
-    float_vals = {k: complex(v) for k, v in exact_vals.items()}
-    tensor_f = np.zeros((n + 1,) * dim, dtype=complex)
-    for key, val in float_vals.items():
-        tensor_f[key] = val
-    spec = {1: "pi,i->p", 2: "pi,qj,ij->pq", 3: "pi,qj,rk,ijk->pqr"}[dim]
+    node_vals = np.array([complex(v) for v in exact_vals]).reshape((n + 1,) * dim)
     combs = _binomials(n)
     ax01 = np.linspace(0.0, 1.0, error_resolution)
     others = [_basis_matrix(combs, ax01)] * (dim - 1) if dim > 1 else []
@@ -410,13 +411,11 @@ def bernstein_approx(f: TargetFunction, n: int,
     best = 0.0
     for start in range(0, error_resolution, rows):
         ts = ax01[start:start + rows]
-        # three axes contract one at a time; a single 7-index loop took seconds
-        approx_vals = np.einsum(spec, _basis_matrix(combs, ts), *others, tensor_f,
-                                optimize=dim == 3)
+        approx_vals = _contract([_basis_matrix(combs, ts), *others], node_vals)
         best = _grid_max_abs(f.fn, [(lo + (hi - lo) * ts).tolist(), *coords],
                              approx_vals.ravel(), best)
-    error = SeminormEstimate(best, best, error_resolution, False)
-    return BernsteinResult(poly, n, float_vals, error)
+    error = SeminormEstimate(best, best, error_resolution)
+    return BernsteinResult(poly, n, node_vals, error)
 
 
 def density_witness(f: TargetFunction, epsilon: float,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import gelfand_lab as gl
 from gelfand_lab import (ComplexRational, Morphism, StarPresentation,
                          verify_rewrite_trace)
-from gelfand_lab.algebra import (MAX_POWER_TERMS, RewriteStep, grlex_key,
+from gelfand_lab.algebra import (MAX_POWER_TERMS, RewriteRule, RewriteStep, grlex_key,
                                  mono_divides, mono_mul, mono_quotient,
                                  normalize_table, raw_involute, raw_mul,
                                  sort_terms)
@@ -51,6 +51,73 @@ def test_star_closure_rejected():
         "algebra A ; generator z : free ; relation z^2 ; "
         "relation adj(z)^2 ;")
     assert len(pres.relations) == 2
+
+
+closure_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+closure_scalars = st.builds(ComplexRational, closure_fractions, closure_fractions)
+
+
+@st.composite
+def closure_cases(draw):
+    """(adjoint, relation tables) of star-mode presentations that are
+    confluent by construction: one self-adjoint generator with one relation,
+    or one free pair with one relation led by z^d and, half the time, a
+    multiple of its mirror (led by adj(z)^d, a coprime lead).  The lead
+    coefficient is a non-unit complex scalar; the tail is random, or on the
+    line half the time the lead times a real tail, which the involution
+    can match."""
+    lead = draw(closure_scalars.filter(lambda c: not c.is_zero() and c != 1))
+    d = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        adjoint, lead_mono, size = (0,), (d,), min(d, 3)  # d tail monomials
+        tail_monos = st.tuples(st.integers(0, max(d - 1, 0)))
+    else:
+        d = max(d, 1)
+        adjoint, lead_mono, size = (1, 0), (d, 0), 3
+        tail_monos = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)).filter(
+            lambda m: sum(m) < d)
+    if adjoint == (0,) and draw(st.booleans()):
+        tail = {m: lead * r for m, r in
+                draw(st.dictionaries(tail_monos, closure_fractions, max_size=size)).items()}
+    else:
+        tail = draw(st.dictionaries(tail_monos, closure_scalars, min_size=min(size, 1),
+                                    max_size=size))
+    relation = {lead_mono: lead, **tail}
+    tables = [relation]
+    if adjoint == (1, 0) and draw(st.booleans()):
+        k = draw(closure_scalars.filter(lambda c: not c.is_zero()))
+        tables.append({m: k * c for m, c in raw_involute(adjoint, relation).items()})
+    return adjoint, tables
+
+
+@given(closure_cases())
+# the involute of relation 0 is relation 1, whose monic tail (1-i)/2 * z
+# has tail_den 2, and its lead numerators (1, 1) over den 2 do not absorb
+# it: the division step scales den
+@example(((1, 0), [
+    {(2, 0): ComplexRational(Fraction(1, 2), Fraction(-1, 2)),
+     (0, 1): ComplexRational(Fraction(1, 2))},
+    {(0, 2): ComplexRational(Fraction(1, 2), Fraction(1, 2)),
+     (1, 0): ComplexRational(Fraction(1, 2))}]))
+# rejected, through a step that scales den: lead numerators (2, -4) over
+# den 2 against tail_den 10
+@example(((0,), [{(2,): ComplexRational(1, 2), (1,): ComplexRational(Fraction(1, 2))}]))
+def test_star_closure_matches_complex_rational_reference(case):
+    adjoint, tables = case
+    relations = [sort_terms(t) for t in tables]
+    rules = [RewriteRule.orient(rel, i) for i, rel in enumerate(relations)]
+    failing = [i for i, rel in enumerate(relations)
+               if normalize_table(rules, raw_involute(adjoint, dict(rel)))[0]]
+    names = ("x",) if adjoint == (0,) else ("z", "w")
+    if failing:
+        with pytest.raises(PresentationError) as info:
+            StarPresentation.assemble("S", "star-algebra", names, adjoint, tables)
+        assert str(info.value) == (
+            f"relation {failing[0]} is not matched under the involution; "
+            f"add its adjoint as a relation")
+    else:
+        pres = StarPresentation.assemble("S", "star-algebra", names, adjoint, tables)
+        assert pres.relations == tuple(relations)
 
 
 def test_confluence_rejected():
@@ -126,9 +193,12 @@ def test_rewrite_trace_replays():
             assert verify_rewrite_trace(pres, raw, normal, steps)
 
 
-def sort_and_scan_normalize(rules, raw):
+def sort_and_scan_normalize(pres, raw):
     """Reference reduction: re-sort the table each step and reduce the
-    largest reducible monomial by the first rule whose lead divides it."""
+    largest reducible monomial by the first rule whose lead divides it.
+    The lead coefficient and the tail come from the relation itself, not
+    from the rule's integer form."""
+    rules = pres.rules()
     table = {m: c for m, c in raw.items() if not c.is_zero()}
     steps = []
     while True:
@@ -141,10 +211,11 @@ def sort_and_scan_normalize(rules, raw):
         if target is None:
             return sort_terms(table), steps
         mono, rule = target
+        (_, lead_coeff), *tail = pres.relations[rule.index]
         coeff = table.pop(mono)
         shift = mono_quotient(mono, rule.lead)
-        factor = coeff / rule.coeff
-        for tm, tc in rule.tail:
+        factor = coeff / lead_coeff
+        for tm, tc in tail:
             key = mono_mul(tm, shift)
             c = table.get(key, ComplexRational(0)) - tc * factor
             if c.is_zero():
@@ -200,7 +271,7 @@ def raw_tables(draw):
 def test_division_loop_matches_sort_and_scan_reference(case):
     pres, raw = case
     normal, steps = normalize_table(pres.rules(), raw, record=True)
-    assert (normal, steps) == sort_and_scan_normalize(pres.rules(), raw)
+    assert (normal, steps) == sort_and_scan_normalize(pres, raw)
     assert verify_rewrite_trace(pres, raw, normal, steps)
 
 

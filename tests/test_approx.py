@@ -241,6 +241,31 @@ def test_bernstein_two_dimensional():
     assert result.poly == expected
 
 
+@pytest.mark.parametrize("f, n", [
+    (TargetFunction(
+        "kinked-2d", 2, fn=lambda p: complex(1 + abs(p[0] - 1 / 3), p[0] * p[1] ** 2),
+        exact_fn=lambda p: ComplexRational(1 + abs(p[0] - Fraction(1, 3)), p[0] * p[1] ** 2)),
+     7),
+    (TargetFunction("kinked-3d", 3, fn=lambda p: 2 + abs(p[0] - p[1]) - p[2] ** 2,
+                    exact_fn=lambda p: 2 + abs(p[0] - p[1]) - p[2] ** 2), 4),
+])
+def test_bernstein_evaluate_agrees_with_poly_on_several_axes(f, n):
+    # both targets have real part >= 1 on the cube, and so has B_n f (a
+    # positive operator that keeps constants), so a relative bound is safe
+    result = gl.bernstein_approx(f, n, error_resolution=5)
+    names = result.pres.generators
+    coords = [Fraction(0), Fraction(2, 7), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    for point in itertools.product(coords, repeat=f.dim):
+        char = gl.validate_character(
+            result.pres, {g: ComplexRational(t) for g, t in zip(names, point)})
+        exact = complex(gl.gelfand_eval(result.poly, char))
+        stable = result.evaluate(tuple(float(t) for t in point))
+        assert abs(stable - exact) <= 1e-12 * abs(exact)
+    for wrong in ((0.5,) * (f.dim - 1), (0.5,) * (f.dim + 1)):
+        with pytest.raises(AlgebraError, match=f"expected {f.dim} coordinates"):
+            result.evaluate(wrong)
+
+
 def test_bernstein_rejects_bad_requests():
     f = gl.catalog_target("square")
     with pytest.raises(AlgebraError):
