@@ -307,13 +307,15 @@ class BernsteinResult:
     The polynomial lives on normalized coordinates over [0, 1]^d; when the
     approximation box is not the unit cube the target is sampled through the
     affine map onto it.  ``nodes`` holds the node values as complex floats,
-    a tensor of shape (degree + 1,) * d.
+    a tensor of shape (degree + 1,) * d, and ``combs`` is
+    ``_binomials(degree)``, kept for :meth:`evaluate`.
     """
 
     poly: StarPoly
     degree: int
     nodes: np.ndarray
     error: SeminormEstimate
+    combs: np.ndarray
 
     @property
     def pres(self) -> StarPresentation:
@@ -325,8 +327,7 @@ class BernsteinResult:
         if len(point) != dim:
             raise AlgebraError(f"expected {dim} coordinates")
         np = require_numpy()
-        combs = _binomials(self.degree)
-        bases = [_basis_matrix(combs, np.array([float(t)])) for t in point]
+        bases = [_basis_matrix(self.combs, np.array([float(t)])) for t in point]
         return _contract(bases, self.nodes).item()
 
 
@@ -415,7 +416,7 @@ def bernstein_approx(f: TargetFunction, n: int,
         best = _grid_max_abs(f.fn, [(lo + (hi - lo) * ts).tolist(), *coords],
                              approx_vals.ravel(), best)
     error = SeminormEstimate(best, best, error_resolution)
-    return BernsteinResult(poly, n, node_vals, error)
+    return BernsteinResult(poly, n, node_vals, error, combs)
 
 
 def density_witness(f: TargetFunction, epsilon: float,

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Mapping, Sequence, Union
 
 from . import spectrum
@@ -80,8 +80,11 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
 
     def value(terms: Terms) -> Value:
         total: Value = ComplexRational(0) if exact else 0j
+        # float points share one conversion of the coefficients; exact
+        # points of a mixed state still take the exact terms
+        floats = terms if exact else [(m, complex(c)) for m, c in terms]
         for char, w in pairs:
-            v = eval_terms(terms, char.values, char.exact)
+            v = eval_terms(terms if char.exact else floats, char.values, char.exact)
             total = total + (v if exact else complex(v)) * w
         return total
 
@@ -338,21 +341,28 @@ class GnsModel:
         return out
 
 
-def _moment(moments: dict[Monomial, Value], state: State, mono: Monomial) -> Value:
-    """E(mono), read from the moment table or evaluated once and stored."""
-    value = moments.get(mono)
-    if value is None:
-        value = moments[mono] = state.moment(mono)
-    return value
-
-
 def _pairing(state: State, moments: dict[Monomial, Value],
-             basis: Sequence[Monomial], w: Monomial) -> list[list[Value]]:
-    """Rows i, columns j: E(adj(m_i) * w * m_j) on the raw product monomial,
-    read through the moment table; exact values on an exact state."""
+             basis: Sequence[Monomial], w: Monomial) -> list[list[Monomial]]:
+    """Rows i, columns j: the raw product monomial adj(m_i) * w * m_j, the
+    key of that entry's moment.  Each distinct key is evaluated once, by the
+    state's ``moment``, into the moment table."""
     lefts = [mono_mul(mono_involute(state.pres.adjoint, mi), w) for mi in basis]
-    return [[_moment(moments, state, mono_mul(left, mj)) for mj in basis]
-            for left in lefts]
+    keys = [[mono_mul(left, mj) for mj in basis] for left in lefts]
+    for key in chain.from_iterable(keys):
+        if key not in moments:
+            moments[key] = state.moment(key)
+    return keys
+
+
+def _complex_matrix(moments: dict[Monomial, Value],
+                    keys: list[list[Monomial]]) -> np.ndarray:
+    """The complex array of the moments at ``keys``, one ``complex()`` per
+    distinct key."""
+    np = require_numpy()
+    slots = {key: k for k, key in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
+    values = np.array([complex(moments[key]) for key in slots], dtype=complex)
+    index = np.array([[slots[key] for key in row] for row in keys], dtype=np.intp)
+    return values[index].reshape(len(keys), len(keys))
 
 
 def gram_matrix(state: State, degree: int) -> GnsModel:
@@ -369,15 +379,18 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
     basis = tuple(sorted(basis, key=grlex_key))
     n = len(basis)
     moments: dict[Monomial, Value] = {}
-    entries = _pairing(state, moments, basis, (0,) * len(state.pres.generators))
+    keys = _pairing(state, moments, basis, (0,) * len(state.pres.generators))
     if state.exact:
-        gram = tuple(tuple(row) for row in entries)
-        if any(gram[i][j] != gram[j][i].conjugate()
-               for i in range(n) for j in range(i, n)):
+        # the key of entry (j, i) is the involute of the key of (i, j), so
+        # one check per distinct key covers every pair of entries
+        adjoint = state.pres.adjoint
+        if any(value != moments[mono_involute(adjoint, key)].conjugate()
+               for key, value in moments.items()):
             raise GnsError("Gram matrix is not Hermitian")
+        gram = tuple(tuple(map(moments.__getitem__, row)) for row in keys)
         return GnsModel(state, degree, basis, gram, moments=moments)
     np = require_numpy()
-    arr = np.array([[complex(v) for v in row] for row in entries], dtype=complex)
+    arr = _complex_matrix(moments, keys)
     scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
         raise GnsError("Gram matrix is not Hermitian within tolerance")
@@ -390,17 +403,21 @@ def _gns_exact(model: GnsModel) -> GnsModel:
     n = len(model.basis)
     # scale * G is a matrix of Gaussian integers, flat in row-major order,
     # so column j is g_re[j::n], g_im[j::n].  Its entries are moments, few
-    # of them distinct, so each distinct value is converted once.
-    distinct = list({z for row in gram for z in row})
-    scale, d_re, d_im = to_numerators(distinct)
+    # of them distinct, so each distinct value is converted once.  Entries
+    # are told apart by identity: gram_matrix shares one object per moment,
+    # and equal values held twice only repeat in to_numerators, which
+    # leaves the lcm and every numerator as they are.
+    distinct = {id(z): z for z in chain.from_iterable(gram)}
+    slots = {key: k for k, key in enumerate(distinct)}
+    scale, d_re, d_im = to_numerators(distinct.values())
     real = not any(d_im)
     rank = min(n, model.state.support or n)
     bits = scale.bit_length() + max((abs(x).bit_length() for x in d_re + d_im), default=0)
     check_cap(f"exact GNS work {n}^2 * {rank} * {bits}^2{'' if real else ' * 4'}",
               n * n * rank * bits * bits * (1 if real else 4), MAX_GNS_WORK)
-    nums = dict(zip(distinct, zip(d_re, d_im)))
-    g_re = [nums[z][0] for row in gram for z in row]
-    g_im = [nums[z][1] for row in gram for z in row]
+    index = [slots[id(z)] for z in chain.from_iterable(gram)]
+    g_re = [d_re[k] for k in index]
+    g_im = [d_im[k] for k in index]
     # The current vector v and its image scale * G v are held as one list
     # of 2n Gaussian-integer numerators (re and im parts) over a positive
     # den.  G is Hermitian and the kept vectors u are G-orthogonal, so the
@@ -525,9 +542,8 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     idx = completed.pres.generator_index(generator)
     n = len(completed.basis)
     gen = tuple(int(i == idx) for i in range(len(completed.pres.generators)))
-    pairing = np.array([[complex(v) for v in row] for row in _pairing(
-        completed.state, completed.moments, completed.basis, gen)],
-        dtype=complex).reshape(n, n)
+    pairing = _complex_matrix(completed.moments, _pairing(
+        completed.state, completed.moments, completed.basis, gen))
     # columns are basis vectors; the shape holds for an empty basis too
     b = np.array(completed.orthonormal, dtype=complex).reshape(completed.rank(), n).T
     return b.conj().T @ pairing @ b

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -264,6 +265,21 @@ def test_bernstein_evaluate_agrees_with_poly_on_several_axes(f, n):
     for wrong in ((0.5,) * (f.dim - 1), (0.5,) * (f.dim + 1)):
         with pytest.raises(AlgebraError, match=f"expected {f.dim} coordinates"):
             result.evaluate(wrong)
+
+
+def test_bernstein_evaluate_reuses_the_binomials():
+    # 100 evaluations at degree 1024 used to rebuild C(1024, k) each time,
+    # about 3 s in all; the binomials now come with the result
+    result = gl.bernstein_approx(gl.catalog_target("abs-shift"), 1024, error_resolution=2)
+    points = [0.0, 1 / 3, 0.5, 0.7071, 1.0]
+    start = time.perf_counter()
+    for k in range(100):
+        result.evaluate((points[k % len(points)],))
+    assert time.perf_counter() - start < 1
+    combs = approx._binomials(1024)
+    for t in points:
+        rebuilt = approx._contract([approx._basis_matrix(combs, np.array([t]))], result.nodes)
+        assert result.evaluate((t,)) == rebuilt.item()
 
 
 def test_bernstein_rejects_bad_requests():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
-from gelfand_lab.algebra import raw_involute, raw_mul
+from gelfand_lab.algebra import mono_involute, mono_mul, raw_involute, raw_mul
 from gelfand_lab.errors import AlgebraError, GnsError, StateError, UnsupportedError
 from gelfand_lab.scalars import ONE
+from gelfand_lab.spectrum import eval_terms
 
 from helpers import circle, disk, line, nil, rand_poly, rand_scalar
 
@@ -519,6 +520,84 @@ def test_moment_tables_are_per_model():
 
 
 # ---------------------------------------------------------------------------
+# keyed matrices against one moment and one complex() per entry
+# ---------------------------------------------------------------------------
+
+def per_entry_matrix(state, basis, w):
+    """E(adj(m_i) * w * m_j) as complex, with one ``state.moment`` and one
+    ``complex()`` per entry."""
+    adjoint = state.pres.adjoint
+    n = len(basis)
+    return np.array([[complex(state.moment(mono_mul(mono_mul(mono_involute(adjoint, mi), w), mj)))
+                      for mj in basis] for mi in basis], dtype=complex).reshape(n, n)
+
+
+def per_entry_operator(model, generator):
+    idx = model.pres.generator_index(generator)
+    gen = tuple(int(i == idx) for i in range(len(model.pres.generators)))
+    n = len(model.basis)
+    b = np.array(model.orthonormal, dtype=complex).reshape(model.rank(), n).T
+    return b.conj().T @ per_entry_matrix(model.state, model.basis, gen) @ b
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert repr(got) == repr(want)
+
+
+MIXED_ATOMS = [({"z": _q("1/2", "-1/3")}, Fraction(1, 4)),
+               ({"z": complex(-0.75, 0.1)}, Fraction(1, 4)),
+               ({"z": _q(0, "3/4")}, Fraction(1, 4)),
+               ({"z": complex(0.3, -0.9)}, Fraction(1, 4))]
+
+FLOAT_CASES = {
+    "quadrature-line": (lambda: gl.quadrature_state(
+        line(), gl.parse_box("x = [-1, 2]", line()), "uniform", 7), 5),
+    "quadrature-disk": (lambda: gl.quadrature_state(
+        disk(), gl.parse_box("z = [-1, 1] x [0, 1/2]", disk()), "uniform", 4), 2),
+    "mixed-atoms": (lambda: gl.atomic_state(disk(), MIXED_ATOMS), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_float_gram_and_operators_match_per_entry_conversion(case):
+    build, degree = FLOAT_CASES[case]
+    state = build()
+    assert not state.exact
+    model = gl.gns_basis(gl.gram_matrix(state, degree))
+    gram = per_entry_matrix(state, model.basis, (0,) * len(state.pres.generators))
+    _same_bits(model.gram, (gram + gram.conj().T) / 2.0)
+    for g in state.pres.generators:
+        _same_bits(gl.multiplication_operator(model, g), per_entry_operator(model, g))
+
+
+@pytest.mark.parametrize("case, degree", [("line", 5), ("disk", 3), ("circle", 4),
+                                          ("gaussian", 9)])
+def test_exact_operators_match_per_entry_conversion(case, degree):
+    state = gl.gaussian_state(line()) if case == "gaussian" else MOMENT_CASES[case][0](True)
+    model = gl.gns_basis(gl.gram_matrix(state, degree))
+    for g in state.pres.generators:
+        _same_bits(gl.multiplication_operator(model, g), per_entry_operator(model, g))
+
+
+def test_mixed_atoms_convert_float_terms_once_and_keep_exact_terms():
+    # exact atoms of a float state take the exact coefficients, float atoms
+    # the complex ones; each atom's value is then converted to complex
+    state = gl.atomic_state(disk(), MIXED_ATOMS)
+    chars = [gl.validate_character(disk(), point) for point, _ in MIXED_ATOMS]
+    assert [c.exact for c in chars] == [True, False, True, False]
+    rng = Random(29)
+    for _ in range(20):
+        a = rand_poly(disk(), rng, max_degree=4, max_terms=4)
+        want = 0j
+        for char, (_, w) in zip(chars, MIXED_ATOMS):
+            want = want + complex(eval_terms(a.terms, char.values, char.exact)) * float(w)
+        got = state.expect(a)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# ---------------------------------------------------------------------------
 # State.moment on raw monomials against the functional on the normal form
 # ---------------------------------------------------------------------------
 
@@ -836,3 +915,52 @@ def test_gns_basis_rejects_indefinite_gram(exact, message):
         gl.gns_basis(model)
     with pytest.raises(GnsError, match=match):
         gl.multiplication_operator(model, "x")
+
+
+@pytest.mark.parametrize("adj_z, hermitian", [((0, 1), False), ((0, -1), True)],
+                         ids=["i", "minus-i"])
+@pytest.mark.parametrize("exact, message", [
+    (True, "Gram matrix is not Hermitian"),
+    (False, "Gram matrix is not Hermitian within tolerance"),
+], ids=["exact", "float"])
+def test_gram_matrix_checks_free_pairs(adj_z, hermitian, exact, message):
+    # E(z) = i and E(adj(z)) = adj_z: the Gram entry (adj(z), 1) must be the
+    # conjugate of the entry (z, 1), and the involute of the key z is the key
+    # adj(z) in the other exponent slot
+    value = ComplexRational if exact else complex
+    moments = {(0, 0): (1,), (1, 0): (0, 1), (0, 1): adj_z}
+    st = gl.State("analytic", disk(), exact, False, "moment rule", lambda a: None,
+                  lambda mono: value(*moments.get(mono, (0,))))
+    if hermitian:
+        assert len(gl.gram_matrix(st, 1).basis) == 3
+    else:
+        with pytest.raises(GnsError, match=f"^{message}$"):
+            gl.gram_matrix(st, 1)
+
+
+@pytest.mark.parametrize("case, degree", [("gaussian", 4), ("disk", 2)])
+def test_gns_exact_gram_with_separate_equal_values(monkeypatch, case, degree):
+    # gram_matrix shares one object per moment; a hand-built Gram may hold
+    # equal values as separate objects, or share them by value.  Both states
+    # have many zero moments; the disk's Gram is complex.
+    state = gl.gaussian_state(line()) if case == "gaussian" else gl.atomic_state(
+        disk(), [({"z": _q("1/2", "1/2")}, 1), ({"z": _q("-1/2", "-1/2")}, 1)], rescale=True)
+    model = gl.gram_matrix(state, degree)
+    separate = tuple(tuple(ComplexRational(z.re, z.im) for z in row) for row in model.gram)
+    by_value: dict = {}
+    shared = tuple(tuple(by_value.setdefault(z, z) for z in row) for row in model.gram)
+    assert len({id(z) for row in separate for z in row}) == len(model.basis) ** 2
+    assert len(by_value) < len({id(z) for row in model.gram for z in row})
+    variants = [model, replace(model, gram=separate), replace(model, gram=shared)]
+    completed = [gl.gns_basis(m) for m in variants]
+    for other in completed[1:]:
+        assert other.null_space == completed[0].null_space
+        assert repr(other.orthonormal) == repr(completed[0].orthonormal)
+    monkeypatch.setattr(gl.states, "MAX_GNS_WORK", 0)
+    messages = set()
+    for m in variants:
+        with pytest.raises(UnsupportedError, match="^exact GNS work ") as info:
+            gl.gns_basis(m)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+    assert (" * 4 exceeds" in messages.pop()) == (case == "disk")
