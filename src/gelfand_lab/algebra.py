@@ -115,12 +115,17 @@ def substitute(terms: Iterable[tuple[Monomial, object]], values: Sequence,
     """total + sum of c * prod(values[i] ** e_i) over the (monomial, c) pairs.
 
     The one evaluation loop: a character's transform, a morphism's image and
-    the coefficient bound each extend a generator assignment this way.
+    the coefficient bound each extend a generator assignment this way.  Each
+    ``values[i] ** e`` is computed once per call, by the same ``**``.
     """
+    powers = {}
     for mono, c in terms:
         for i, e in enumerate(mono):
             if e:
-                c = c * values[i] ** e
+                p = powers.get((i, e))
+                if p is None:
+                    p = powers[i, e] = values[i] ** e
+                c = c * p
         total = total + c
     return total
 

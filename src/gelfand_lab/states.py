@@ -11,9 +11,9 @@ The GNS model is built degree by degree: the Gram matrix of the pairing
 E(adj(a) * b) on irreducible monomials up to the chosen degree, its null
 space (the zero-length directions that the quotient removes), and an
 orthonormal basis of the complement.  Every entry is read from a per-model
-moment table, so each distinct moment is evaluated once, by the state's
-``moment`` on the raw product monomial.  On exact states
-everything up to the final normalization square roots is rational
+moment table, so each distinct moment is evaluated once, on the raw
+product monomial, in one batch per matrix (``State.moments``).  On exact
+states everything up to the final normalization square roots is rational
 arithmetic, so null vectors like x^2 - 1 come out exactly.
 """
 
@@ -24,15 +24,16 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, islice
+from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
 from . import spectrum
 from .algebra import (Monomial, StarPoly, StarPresentation, Terms, grlex_key,
-                      mono_involute, mono_mul, normalize_table)
+                      mono_involute, normalize_table)
 from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
-from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators,
+from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators, power,
                       ratio_to_float, to_float, to_numerators)
-from .spectrum import Character, CompactBox, axis_layout, eval_terms, format_value
+from .spectrum import Character, CompactBox, axis_layout, format_value
 
 Value = Union[ComplexRational, complex]
 
@@ -66,9 +67,17 @@ class State:
     functional: Callable[[StarPoly], Value]  # a -> E(a)
     moment: Callable[[Monomial], Value]  # raw monomial m -> E(m)
     support: int | None = None  # support points, which bound every Gram rank
+    # raw monomials -> E of each, in one call; None runs ``moment`` per key
+    batch: Callable[[Sequence[Monomial]], list[Value]] | None = None
 
     def expect(self, a: StarPoly) -> Value:
         return expect(self, a)
+
+    def moments(self, keys: Sequence[Monomial]) -> list[Value]:
+        """E on each raw monomial of a batch."""
+        if self.batch is None:
+            return [self.moment(key) for key in keys]
+        return self.batch(keys)
 
 
 def _point_state(kind: str, pres: StarPresentation, source: str,
@@ -78,66 +87,116 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
     exact = all(p.exact for p in points)
     pairs = tuple(zip(points, weights if exact else map(float, weights)))
 
-    def value(terms: Terms) -> Value:
-        total: Value = ComplexRational(0) if exact else 0j
+    def values(batch: Sequence[Terms]) -> list[Value]:
+        """E on each terms list of a batch.
+
+        Each point tabulates values[i] ** e once for every (i, e) the batch
+        uses, by the ``**`` that ``algebra.substitute`` runs, and each sum
+        keeps substitute's order of operations, so every value equals
+        ``eval_terms`` at each point, bit for bit on floats.
+        """
         # float points share one conversion of the coefficients; exact
-        # points of a mixed state still take the exact terms
-        floats = terms if exact else [(m, complex(c)) for m, c in terms]
+        # points of a mixed state still take the exact terms.  A factor is
+        # the slot of its (i, e) in the power table.
+        slots: dict[tuple[int, int], int] = {}
+        prepared = [[(c, c if exact else complex(c),
+                      [slots.setdefault((i, e), len(slots)) for i, e in enumerate(mono) if e])
+                     for mono, c in terms] for terms in batch]
+        sums: list[Value] = [ComplexRational(0) if exact else 0j] * len(batch)
         for char, w in pairs:
-            v = eval_terms(terms if char.exact else floats, char.values, char.exact)
-            total = total + (v if exact else complex(v)) * w
-        return total
+            point = char.values
+            try:
+                powers = [point[i] ** e for i, e in slots]
+            except OverflowError:
+                raise AlgebraError(FLOAT_OVERFLOW) from None
+            if char.exact:
+                for k, terms in enumerate(prepared):
+                    total: Value = ComplexRational(0)
+                    for c, _, factors in terms:
+                        for f in factors:
+                            c = c * powers[f]
+                        total = total + c
+                    sums[k] = sums[k] + (total if exact else complex(total)) * w
+                continue
+            for k, terms in enumerate(prepared):
+                total = 0j
+                for _, c, factors in terms:
+                    for f in factors:
+                        c = c * powers[f]
+                    total = total + c
+                if not cmath.isfinite(total):
+                    raise AlgebraError(FLOAT_OVERFLOW)
+                sums[k] = sums[k] + total * w
+        return sums
 
-    # float points need not satisfy the relations exactly
-    moment = _exact_point_moment(pairs) if exact else _normal_form_moment(pres, value)
-    return State(kind, pres, exact, False, source, lambda a: value(a.terms), moment,
-                 len(pairs))
+    if exact:
+        batch = _exact_point_batch(pairs)
+    else:
+        # float points need not satisfy the relations exactly
+        normal_form = _normal_form(pres)
+        batch = lambda keys: values(list(map(normal_form, keys)))  # noqa: E731
+    return State(kind, pres, exact, False, source, lambda a: values([a.terms])[0],
+                 lambda mono: batch([mono])[0], len(pairs), batch)
 
 
-def _normal_form_moment(pres: StarPresentation, value: Callable[[Terms], Value]):
-    """E(m) as ``value`` on the terms of the normal form of m, which are
+def _normal_form(pres: StarPresentation) -> Callable[[Monomial], Terms]:
+    """m -> the terms of the normal form of the raw monomial m, which are
     ((m, 1),) when the presentation has no rules."""
     rules = pres.rules()
     if not rules:
-        return lambda mono: value(((mono, ONE),))
-    return lambda mono: value(normalize_table(rules, {mono: ONE})[0])
+        return lambda mono: ((mono, ONE),)
+    return lambda mono: normalize_table(rules, {mono: ONE})[0]
 
 
-def _exact_point_moment(pairs: Sequence[tuple[Character, Fraction]]):
-    """E(m) on the raw monomial m at exact points.
+def _exact_point_batch(pairs: Sequence[tuple[Character, Fraction]]):
+    """E on a batch of raw monomials at exact points.
 
     An exact character satisfies every relation exactly, so its value on m
-    is its value on the normal form of m.  Each point is held once as
-    Gaussian-integer numerators over its own denominator den, so a point
-    contributes w * prod(num_i ** e_i) / den ** |m|; the contributions are
-    summed over the lcm of their denominators.
+    is its value on the normal form of m.  Every point value is held once
+    as Gaussian-integer numerators over one common denominator D, and each
+    weight as an integer W_p over one common denominator W, so
+    E(m) = sum of W_p * prod(num_i ** e_i) / (W * D ** |m|).  Each call
+    tabulates the powers num_i ** e of every point for the (i, e) its batch
+    uses; the tables live for that call.
     """
-    points = []
-    for char, w in pairs:
-        den, re, im = to_numerators(char.values)
-        points.append((den, tuple(zip(re, im)), w.numerator, w.denominator))
+    k = len(pairs[0][0].values)
+    den, re, im = to_numerators(chain.from_iterable(char.values for char, _ in pairs))
+    nums = list(zip(re, im))
+    w_den = math.lcm(*(w.denominator for _, w in pairs))
+    points = [(w.numerator * (w_den // w.denominator), nums[j * k:(j + 1) * k])
+              for j, (_, w) in enumerate(pairs)]
 
-    def moment(mono: Monomial) -> ComplexRational:
-        degree = sum(mono)
-        terms = []
-        for den, nums, x, w_den in points:
-            y = 0
-            for (a, b), e in zip(nums, mono):
-                if not e:
-                    continue
-                if b:
-                    for _ in range(e):
-                        x, y = x * a - y * b, x * b + y * a
-                else:
-                    p = a ** e
-                    x, y = x * p, y * p
-            terms.append((x, y, w_den * den ** degree))
-        common = math.lcm(*(d for _, _, d in terms))
-        re = sum(x * (common // d) for x, _, d in terms)
-        im = sum(y * (common // d) for _, y, d in terms)
-        return from_numerators(common, [re], [im])[0]
+    def batch(keys: Sequence[Monomial]) -> list[ComplexRational]:
+        used = sorted({(i, e) for key in keys for i, e in enumerate(key)}
+                      | {(i, 0) for i in range(k)})
+        tables = []
+        for weight, point in points:
+            table = {}
+            # sorted, so (i, 0) starts each generator and each later power
+            # comes from the one before it
+            for i, e in used:
+                table[i, e] = p = power(point[i], e - done, p, _gauss_mul) if e else (1, 0)
+                done = e
+            tables.append((weight, table))
+        out = []
+        for key in keys:
+            factors = [(i, e) for i, e in enumerate(key) if e]
+            re_sum = im_sum = 0
+            for x, table in tables:
+                y = 0
+                for f in factors:
+                    a, b = table[f]
+                    x, y = x * a - y * b, x * b + y * a
+                re_sum += x
+                im_sum += y
+            out.append(from_numerators(w_den * den ** sum(key), [re_sum], [im_sum])[0])
+        return out
 
-    return moment
+    return batch
+
+
+def _gauss_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
 
 def atomic_state(pres: StarPresentation,
@@ -274,9 +333,10 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
 
     # the recurrence on the raw monomial skips the functional's scalar
     # arithmetic; under rules the monomial must be reduced first
+    normal_form = _normal_form(pres)
     return State("analytic", pres, True, True,
                  f"state gaussian({pres.generators[idx]})", lambda a: value(a.terms),
-                 _normal_form_moment(pres, value) if pres.rules() else moment)
+                 (lambda mono: value(normal_form(mono))) if pres.rules() else moment)
 
 
 def expect(state: State, a: StarPoly) -> Value:
@@ -341,28 +401,43 @@ class GnsModel:
         return out
 
 
-def _pairing(state: State, moments: dict[Monomial, Value],
-             basis: Sequence[Monomial], w: Monomial) -> list[list[Monomial]]:
-    """Rows i, columns j: the raw product monomial adj(m_i) * w * m_j, the
-    key of that entry's moment.  Each distinct key is evaluated once, by the
-    state's ``moment``, into the moment table."""
-    lefts = [mono_mul(mono_involute(state.pres.adjoint, mi), w) for mi in basis]
-    keys = [[mono_mul(left, mj) for mj in basis] for left in lefts]
-    for key in chain.from_iterable(keys):
-        if key not in moments:
-            moments[key] = state.moment(key)
-    return keys
+def _pairing(state: State, moments: dict[Monomial, Value], basis: Sequence[Monomial],
+             w: Monomial) -> tuple[list[list[int]], dict[int, Value]]:
+    """Rows i, columns j: the code of the raw product monomial
+    adj(m_i) * w * m_j, the key of that entry's moment; and the moment at
+    each distinct code.
+
+    A monomial is coded as one integer in a radix above every exponent in
+    use, so each product is one addition, and only the distinct codes are
+    decoded back to monomials.  The keys not yet in the moment table go to
+    the state as one batch.
+    """
+    radix = 2 * max(chain.from_iterable(basis), default=0) + max(w, default=0) + 1
+    places = [radix ** i for i in range(len(w))]
+
+    def code(mono: Monomial) -> int:
+        return sum(map(mul, mono, places))
+
+    adjoint = state.pres.adjoint
+    rights = [code(mj) for mj in basis]
+    shift = code(w)
+    codes = [[left + right for right in rights]
+             for left in (code(mono_involute(adjoint, mi)) + shift for mi in basis)]
+    keys = {c: tuple(c // p % radix for p in places)
+            for c in dict.fromkeys(chain.from_iterable(codes))}
+    new = [key for key in keys.values() if key not in moments]
+    moments.update(zip(new, state.moments(new)))
+    return codes, {c: moments[key] for c, key in keys.items()}
 
 
-def _complex_matrix(moments: dict[Monomial, Value],
-                    keys: list[list[Monomial]]) -> np.ndarray:
-    """The complex array of the moments at ``keys``, one ``complex()`` per
-    distinct key."""
+def _complex_matrix(codes: list[list[int]], values: dict[int, Value]) -> np.ndarray:
+    """The complex array of the moments at ``codes``, one ``complex()`` per
+    distinct code."""
     np = require_numpy()
-    slots = {key: k for k, key in enumerate(dict.fromkeys(chain.from_iterable(keys)))}
-    values = np.array([complex(moments[key]) for key in slots], dtype=complex)
-    index = np.array([[slots[key] for key in row] for row in keys], dtype=np.intp)
-    return values[index].reshape(len(keys), len(keys))
+    slots = {c: k for k, c in enumerate(values)}
+    array = np.array([complex(v) for v in values.values()], dtype=complex)
+    index = np.array([[slots[c] for c in row] for row in codes], dtype=np.intp)
+    return array[index].reshape(len(codes), len(codes))
 
 
 def gram_matrix(state: State, degree: int) -> GnsModel:
@@ -379,18 +454,24 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
     basis = tuple(sorted(basis, key=grlex_key))
     n = len(basis)
     moments: dict[Monomial, Value] = {}
-    keys = _pairing(state, moments, basis, (0,) * len(state.pres.generators))
+    codes, values = _pairing(state, moments, basis, (0,) * len(state.pres.generators))
     if state.exact:
         # the key of entry (j, i) is the involute of the key of (i, j), so
-        # one check per distinct key covers every pair of entries
+        # one check per distinct key covers every pair of entries; a key
+        # that is its own involute (every key, when all generators are
+        # self-adjoint) needs a real moment
         adjoint = state.pres.adjoint
-        if any(value != moments[mono_involute(adjoint, key)].conjugate()
-               for key, value in moments.items()):
+        if adjoint == tuple(range(len(adjoint))):
+            hermitian = all(v.im == 0 for v in moments.values())
+        else:
+            hermitian = all(v.re == u.re and v.im == -u.im for v, u in (
+                (v, moments[mono_involute(adjoint, key)]) for key, v in moments.items()))
+        if not hermitian:
             raise GnsError("Gram matrix is not Hermitian")
-        gram = tuple(tuple(map(moments.__getitem__, row)) for row in keys)
+        gram = tuple(tuple(map(values.__getitem__, row)) for row in codes)
         return GnsModel(state, degree, basis, gram, moments=moments)
     np = require_numpy()
-    arr = _complex_matrix(moments, keys)
+    arr = _complex_matrix(codes, values)
     scale = max(1.0, float(np.max(np.abs(arr)))) if n else 1.0
     if n and float(np.max(np.abs(arr - arr.conj().T))) > PSD_TOLERANCE * scale:
         raise GnsError("Gram matrix is not Hermitian within tolerance")
@@ -542,8 +623,8 @@ def multiplication_operator(model: GnsModel, generator: Union[int, str]) -> np.n
     idx = completed.pres.generator_index(generator)
     n = len(completed.basis)
     gen = tuple(int(i == idx) for i in range(len(completed.pres.generators)))
-    pairing = _complex_matrix(completed.moments, _pairing(
-        completed.state, completed.moments, completed.basis, gen))
+    pairing = _complex_matrix(*_pairing(completed.state, completed.moments,
+                                        completed.basis, gen))
     # columns are basis vectors; the shape holds for an empty basis too
     b = np.array(completed.orthonormal, dtype=complex).reshape(completed.rank(), n).T
     return b.conj().T @ pairing @ b

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational
 from gelfand_lab.algebra import mono_involute, mono_mul
+from gelfand_lab.errors import GnsError
+from gelfand_lab.scalars import ONE
 
 from helpers import CIRCLE, circle, disk, line
 
@@ -86,6 +90,52 @@ def test_per_entry_gram_repeats_values_the_model_shares():
     shared = {id(z) for row in model.gram for z in row}
     assert len(shared) == len(model.moments) < len(model.basis) ** 2
     assert model.rank() == 3
+
+
+# ---------------------------------------------------------------------------
+# moment batches against one moment per key
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = {
+    **{name: build for name, (build, _) in CASES.items()},
+    "gaussian-rules": lambda: gl.gaussian_state(gl.parse_presentation(
+        "algebra R ; generator x : selfadjoint ; relation x^3 - x ;")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_exact_batch_equals_per_monomial_moments(case):
+    # keys repeat each exponent across the batch, so the power tables are
+    # shared; on the circle most keys reduce, z*adj(z) being 1
+    state = BATCH_CASES[case]()
+    pres = state.pres
+    keys = list(product((0, 1, 3, 4, 7), repeat=len(pres.generators)))
+    Random(31).shuffle(keys)
+    batch = state.moments(keys)
+    assert all(isinstance(v, ComplexRational) for v in batch)
+    assert batch == [state.moment(key) for key in keys]
+    assert batch == [state.functional(pres.poly({key: ONE})) for key in keys]
+    assert state.moments([]) == []
+
+
+def _exact_rule(pres, moments):
+    """An exact state with E(m) = moments[m] (0 off the table), built around
+    the checks that the public constructors make."""
+    return gl.State("analytic", pres, True, False, "moment rule", lambda a: None,
+                    lambda mono: ComplexRational(*moments.get(mono, (0,))))
+
+
+@pytest.mark.parametrize("build, moments", [
+    (line, {(0,): (1,), (1,): (0, 1), (2,): (1,)}),  # E(x) = i
+    (line, {(0,): (1,), (2,): (0, 1)}),  # E(x^2) = i on the diagonal
+    (disk, {(0, 0): (1,), (1, 0): (0, 1), (0, 1): (0, 1)}),  # E(adj(z)) = E(z)
+    (disk, {(0, 0): (1,), (1, 0): (1,), (0, 1): (2,)}),  # real parts differ
+    (disk, {(0, 0): (1,), (1, 1): (1, 1)}),  # E(adj(z)*z) = 1 + i
+], ids=["line-off-diagonal", "line-diagonal", "disk-pair-imaginary", "disk-pair-real",
+        "disk-self-involute"])
+def test_exact_gram_rejects_non_hermitian_moments(build, moments):
+    with pytest.raises(GnsError, match="^Gram matrix is not Hermitian$"):
+        gl.gram_matrix(_exact_rule(build(), moments), 1)
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)

@@ -668,6 +668,27 @@ def test_float_point_moment_is_bit_identical(case):
         (expected.real.hex(), expected.imag.hex())
 
 
+@st.composite
+def float_point_batches(draw):
+    """A float point state and a batch of raw monomials whose exponents come
+    from at most three values, so keys share power-table entries."""
+    state, _ = draw(float_point_states())
+    exponents = draw(st.lists(st.integers(0, 7), min_size=1, max_size=3))
+    key = st.tuples(*[st.sampled_from(exponents)] * len(state.pres.generators))
+    return state, draw(st.lists(key, min_size=2, max_size=8))
+
+
+@given(float_point_batches())
+def test_float_batch_is_bit_identical_to_the_functional(case):
+    state, keys = case
+    values = state.moments(keys)
+    assert len(values) == len(keys)
+    for key, value in zip(keys, values):
+        expected = state.functional(state.pres.poly({key: ONE}))
+        assert (value.real.hex(), value.imag.hex()) == \
+            (expected.real.hex(), expected.imag.hex())
+
+
 def test_gaussian_moment_reduces_under_rules():
     # x^3 -> x, so E(x^4) is E(x^2) = 1, not the raw Gaussian moment 3
     pres = gl.parse_presentation("algebra R ; generator x : selfadjoint ; relation x^3 - x ;")

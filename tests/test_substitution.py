@@ -18,7 +18,7 @@ import pytest
 
 import gelfand_lab as gl
 from gelfand_lab import CompactBox, ComplexRational, Morphism
-from gelfand_lab.errors import MorphismError
+from gelfand_lab.errors import MorphismError, UnsupportedError
 
 from helpers import (circle, disk, line, rand_character, rand_fraction,
                      rand_poly, rand_scalar, sphere)
@@ -177,6 +177,36 @@ def test_morphism_apply_matches_reference_loop(source_name, target_name):
         f = Morphism.create(source, target, images)
         a = rand_poly(source, rng, max_degree=4, max_terms=5)
         assert f.apply(a) == reference_apply_table(f, a.as_table())
+
+
+@pytest.mark.parametrize("target_name", sorted(PRESENTATIONS))
+def test_morphism_apply_with_shared_powers_matches_reference_loop(target_name):
+    # every exponent of z and of adj(z) appears in several terms, so apply
+    # reads most image powers from its table
+    rng = Random(808)
+    source, target = disk(), PRESENTATIONS[target_name]()
+    for _ in range(10):
+        images = [rand_poly(target, rng, max_degree=2, max_terms=3)
+                  for _ in source.generators]
+        f = Morphism.create(source, target, images)
+        exponents = rng.sample(range(5), 3)
+        a = source.poly({(i, j): ComplexRational(rng.randint(1, 5), rng.randint(-5, 5))
+                         for i in exponents for j in exponents})
+        assert f.apply(a) == reference_apply_table(f, a.as_table())
+
+
+def test_morphism_apply_past_the_power_cap_raises_the_message_of_pow():
+    disk_pres, sphere_pres = disk(), sphere()
+    x, y = sphere_pres.gen("x"), sphere_pres.gen("y")
+    image = x ** 2 * y ** 3
+    f = Morphism.create(disk_pres, sphere_pres, [image, x])
+    z, adj_z = disk_pres.gen(0), disk_pres.gen(1)
+    with pytest.raises(UnsupportedError) as want:
+        image ** 5
+    with pytest.raises(UnsupportedError) as got:
+        f.apply(z ** 5 + z ** 5 * adj_z + z ** 2)
+    assert str(got.value) == str(want.value)
+    assert "exceeds the cap of 2500" in str(got.value)
 
 
 def circle_images(target, rng):
