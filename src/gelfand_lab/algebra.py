@@ -110,24 +110,34 @@ def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) 
     return out
 
 
-def substitute(terms: Iterable[tuple[Monomial, object]], values: Sequence,
-               total):
-    """total + sum of c * prod(values[i] ** e_i) over the (monomial, c) pairs.
+def substitute(batch: Iterable[Iterable[tuple[Monomial, object]]],
+               points: Iterable[Sequence], zero) -> list[list]:
+    """zero + sum of c * prod(values[i] ** e_i) over the (monomial, c) pairs
+    of each terms list of the batch: one list of totals per assignment
+    ``values`` of ``points``.
 
-    The one evaluation loop: a character's transform, a morphism's image and
-    the coefficient bound each extend a generator assignment this way.  Each
-    ``values[i] ** e`` is computed once per call, by the same ``**``.
+    The one evaluation loop: a character's transform, a morphism's image,
+    the coefficient bound and a point state's moments each extend a
+    generator assignment this way.  The factors of every monomial are read
+    once per call; each ``values[i] ** e`` is computed once per assignment,
+    by the same ``**``, and shared by the whole batch.
     """
-    powers = {}
-    for mono, c in terms:
-        for i, e in enumerate(mono):
-            if e:
-                p = powers.get((i, e))
-                if p is None:
-                    p = powers[i, e] = values[i] ** e
-                c = c * p
-        total = total + c
-    return total
+    slots: dict[tuple[int, int], int] = {}
+    prepared = [[(c, [slots.setdefault((i, e), len(slots)) for i, e in enumerate(mono) if e])
+                 for mono, c in terms] for terms in batch]
+    out = []
+    for values in points:
+        powers = [values[i] ** e for i, e in slots]
+        totals = []
+        for terms in prepared:
+            total = zero
+            for c, factors in terms:
+                for f in factors:
+                    c = c * powers[f]
+                total = total + c
+            totals.append(total)
+        out.append(totals)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +766,7 @@ class Morphism:
                 raise MorphismError("generator image lives over the wrong presentation")
         morphism = cls(source, target, ordered, star)
         for k, rel in enumerate(source.relations):
-            if not substitute(rel, ordered, target.zero()).is_zero():
+            if not substitute([rel], [ordered], target.zero())[0][0].is_zero():
                 raise MorphismError(
                     f"generator assignment does not kill relation {k}")
         if star:
@@ -772,7 +782,7 @@ class Morphism:
     def apply(self, a: StarPoly) -> StarPoly:
         if a.pres != self.source:
             raise AlgebraError("element does not live over the morphism source")
-        return substitute(a.terms, self.images, self.target.zero())
+        return substitute([a.terms], [self.images], self.target.zero())[0][0]
 
     def __call__(self, a: StarPoly) -> StarPoly:
         return self.apply(a)

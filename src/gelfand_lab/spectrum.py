@@ -67,15 +67,16 @@ class Character:
         return self.values[self.pres.generator_index(which)]
 
 
-def eval_terms(terms, values: Sequence[Value], exact: bool) -> Value:
-    """The value of the (monomial, coefficient) pairs at a character's values."""
+def eval_terms(batch, points: Sequence[Sequence[Value]], exact: bool) -> list[list[Value]]:
+    """The value of each list of (monomial, coefficient) pairs of the batch
+    at each character's values of ``points``, one list per point."""
     if exact:
-        return algebra.substitute(terms, values, ComplexRational(0))
+        return algebra.substitute(batch, points, ComplexRational(0))
     try:
-        total = algebra.substitute(((m, complex(c)) for m, c in terms),
-                                   values, 0j)
-        if cmath.isfinite(total):
-            return total
+        out = algebra.substitute([[(m, complex(c)) for m, c in terms] for terms in batch],
+                                 points, 0j)
+        if all(map(cmath.isfinite, itertools.chain.from_iterable(out))):
+            return out
     except OverflowError:
         pass
     raise AlgebraError(FLOAT_OVERFLOW)
@@ -147,7 +148,7 @@ def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
                         f"conjugate of the value of {g!r}", "conjugacy")
 
     for k, rel in enumerate(pres.relations):
-        out = eval_terms(rel, values, exact)
+        out = eval_terms([rel], [values], exact)[0][0]
         if not _is_zero(out, tolerance):
             raise CharacterError(f"relation {k} is violated by the assignment",
                                  "relation")
@@ -159,7 +160,7 @@ def gelfand_eval(a: StarPoly, p: Character) -> Value:
 
     Exact when the character is exact (coefficients always are).
     """
-    return eval_terms(_terms_over(a, p.pres), p.values, p.exact)
+    return eval_terms([_terms_over(a, p.pres)], [p.values], p.exact)[0][0]
 
 
 def _terms_over(a: StarPoly, pres: StarPresentation) -> Terms:
@@ -375,8 +376,8 @@ def coefficient_bound(a: StarPoly, box: CompactBox) -> Fraction:
     if a.pres != box.pres:
         raise AlgebraError("element and box live over different presentations")
     gen_bounds = [box.modulus_bound(i) for i in range(len(a.pres.generators))]
-    return algebra.substitute(((m, c.one_norm()) for m, c in a.terms),
-                              gen_bounds, Fraction(0))
+    return algebra.substitute([[(m, c.one_norm()) for m, c in a.terms]],
+                              [gen_bounds], Fraction(0))[0][0]
 
 
 @dataclass(frozen=True)
@@ -486,7 +487,8 @@ def relative_compactness_check(subject: Union[CompactBox, SampleSet],
     exceeded: list[str] = []
     for w in witnesses:
         terms = _terms_over(w, subject.pres)
-        top = max(_abs(eval_terms(terms, p.values, p.exact)) for p in subject.characters)
+        top = max(_abs(eval_terms([terms], [p.values], p.exact)[0][0])
+                  for p in subject.characters)
         name = format_poly(w)
         observed.append((name, top))
         if top > threshold:
@@ -548,7 +550,7 @@ def radical_vanishing_check(a: StarPoly, sampler: Union[BoxSampler, GridSampler]
     max_abs = 0.0
     witness: Character | None = None
     for p in chars:
-        v = eval_terms(terms, p.values, p.exact)
+        v = eval_terms([terms], [p.values], p.exact)[0][0]
         mag = _abs(v)
         max_abs = max(max_abs, mag)
         if witness is None and not _is_zero(v, tolerance):

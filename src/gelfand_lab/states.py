@@ -33,7 +33,7 @@ from .algebra import (Monomial, StarPoly, StarPresentation, Terms, grlex_key,
 from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
 from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators, power,
                       ratio_to_float, to_float, to_numerators)
-from .spectrum import Character, CompactBox, axis_layout, format_value
+from .spectrum import Character, CompactBox, axis_layout, eval_terms, format_value
 
 Value = Union[ComplexRational, complex]
 
@@ -67,7 +67,9 @@ class State:
     functional: Callable[[StarPoly], Value]  # a -> E(a)
     moment: Callable[[Monomial], Value]  # raw monomial m -> E(m)
     support: int | None = None  # support points, which bound every Gram rank
-    # raw monomials -> E of each, in one call; None runs ``moment`` per key
+    # raw monomials -> E of each, in one call.  When set it must agree with
+    # ``moment``, and ``moments`` (so the GNS construction) uses it instead;
+    # None runs ``moment`` per key
     batch: Callable[[Sequence[Monomial]], list[Value]] | None = None
 
     def expect(self, a: StarPoly) -> Value:
@@ -87,46 +89,20 @@ def _point_state(kind: str, pres: StarPresentation, source: str,
     exact = all(p.exact for p in points)
     pairs = tuple(zip(points, weights if exact else map(float, weights)))
 
-    def values(batch: Sequence[Terms]) -> list[Value]:
-        """E on each terms list of a batch.
+    # the exact points and the float points each take one ``eval_terms``
+    # call per batch, so each point's powers are computed once per batch
+    groups = {ex: [char.values for char, _ in pairs if char.exact == ex]
+              for ex in (True, False)}
 
-        Each point tabulates values[i] ** e once for every (i, e) the batch
-        uses, by the ``**`` that ``algebra.substitute`` runs, and each sum
-        keeps substitute's order of operations, so every value equals
-        ``eval_terms`` at each point, bit for bit on floats.
-        """
-        # float points share one conversion of the coefficients; exact
-        # points of a mixed state still take the exact terms.  A factor is
-        # the slot of its (i, e) in the power table.
-        slots: dict[tuple[int, int], int] = {}
-        prepared = [[(c, c if exact else complex(c),
-                      [slots.setdefault((i, e), len(slots)) for i, e in enumerate(mono) if e])
-                     for mono, c in terms] for terms in batch]
+    def values(batch: Sequence[Terms]) -> list[Value]:
+        """E on each terms list of a batch."""
+        at = {ex: iter(eval_terms(batch, group, ex)) for ex, group in groups.items() if group}
         sums: list[Value] = [ComplexRational(0) if exact else 0j] * len(batch)
         for char, w in pairs:
-            point = char.values
-            try:
-                powers = [point[i] ** e for i, e in slots]
-            except OverflowError:
-                raise AlgebraError(FLOAT_OVERFLOW) from None
-            if char.exact:
-                for k, terms in enumerate(prepared):
-                    total: Value = ComplexRational(0)
-                    for c, _, factors in terms:
-                        for f in factors:
-                            c = c * powers[f]
-                        total = total + c
-                    sums[k] = sums[k] + (total if exact else complex(total)) * w
-                continue
-            for k, terms in enumerate(prepared):
-                total = 0j
-                for _, c, factors in terms:
-                    for f in factors:
-                        c = c * powers[f]
-                    total = total + c
-                if not cmath.isfinite(total):
-                    raise AlgebraError(FLOAT_OVERFLOW)
-                sums[k] = sums[k] + total * w
+            totals = next(at[char.exact])
+            if char.exact and not exact:
+                totals = map(complex, totals)
+            sums = [s + v * w for s, v in zip(sums, totals)]
         return sums
 
     if exact:
@@ -458,14 +434,10 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
     if state.exact:
         # the key of entry (j, i) is the involute of the key of (i, j), so
         # one check per distinct key covers every pair of entries; a key
-        # that is its own involute (every key, when all generators are
-        # self-adjoint) needs a real moment
+        # that is its own involute needs a real moment
         adjoint = state.pres.adjoint
-        if adjoint == tuple(range(len(adjoint))):
-            hermitian = all(v.im == 0 for v in moments.values())
-        else:
-            hermitian = all(v.re == u.re and v.im == -u.im for v, u in (
-                (v, moments[mono_involute(adjoint, key)]) for key, v in moments.items()))
+        hermitian = all(v.re == u.re and v.im == -u.im for v, u in (
+            (v, moments[mono_involute(adjoint, key)]) for key, v in moments.items()))
         if not hermitian:
             raise GnsError("Gram matrix is not Hermitian")
         gram = tuple(tuple(map(values.__getitem__, row)) for row in codes)

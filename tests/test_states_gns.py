@@ -592,7 +592,8 @@ def test_mixed_atoms_convert_float_terms_once_and_keep_exact_terms():
         a = rand_poly(disk(), rng, max_degree=4, max_terms=4)
         want = 0j
         for char, (_, w) in zip(chars, MIXED_ATOMS):
-            want = want + complex(eval_terms(a.terms, char.values, char.exact)) * float(w)
+            v = eval_terms([a.terms], [char.values], char.exact)[0][0]
+            want = want + complex(v) * float(w)
         got = state.expect(a)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
