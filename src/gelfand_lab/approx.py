@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import algebra, spectrum
 from .algebra import MODE_STAR, StarPoly, StarPresentation
@@ -123,6 +124,15 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     with L the common denominator of the coefficients, term m scaled by
     D**(deg - |m|) makes the value at every point N / (L * D**deg) for a
     Gaussian integer N.  The largest |N|^2 is divided once at the end.
+
+    Along each axis of a generator, N is a polynomial in the grid index of
+    degree at most d, the largest p + q of the generator's factors
+    v^p * conj(v)^q, so its values at the first d + 1 points, the corner,
+    fix the rest.  The generator with the smallest d is extended from its
+    corner by forward differences (``_extended_max``) when the corner is
+    at most half of each of its axes; power tables evaluate N on that
+    corner at every grid point of the other generators.  Otherwise, and
+    for the other generators, power tables evaluate N at every grid point.
     """
     widest = max((n for _, n in spectrum.axis_layout(box.pres)), default=0)
     check_cap(f"grid table of {resolution}^{widest} points for one generator",
@@ -135,33 +145,39 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
     lcd, coeffs = a.int_form
     den, ends, _ = to_numerators(q for lo, hi in box.intervals
                                  for q in (lo, (hi - lo) / (resolution - 1)))
-    axis_coords = iter([[x0 + k * dx for k in range(resolution)]
-                        for x0, dx in zip(ends[::2], ends[1::2])])
+    axis_ends = iter(zip(ends[::2], ends[1::2]))
 
-    # One group per axis generator.  At each of its grid values v (the
-    # adjoint partner takes conj(v)) every distinct factor v^p * conj(v)^q
-    # of the terms is tabulated once; ``partials`` lists those (p, q), or
-    # (p,) for a generator without a distinct partner.
+    # One group per axis generator (the adjoint partner takes conj(v)).
+    # ``partials`` lists the distinct factors v^p * conj(v)^q of the terms
+    # as (p, q), or (p,) for a generator without a distinct partner.
     groups = []
     for gi, spans in box.by_generator():
-        coords = [next(axis_coords) for _ in spans]
+        starts = [next(axis_ends) for _ in spans]
         partner = pres.adjoint[gi]
         slots = (gi,) if partner is None or partner == gi else (gi, partner)
         partials = sorted({tuple(m[i] for i in slots) for m in coeffs})
         if partials == [(0,) * len(slots)]:
             continue  # the transform is constant along these axes
-        groups.append((slots, partials, coords))
+        groups.append((max(map(sum, partials)) + 1, slots, partials, starts))
+    groups.sort(key=lambda g: -g[0])  # the smallest corner goes last
+    size = groups[-1][0] if groups else resolution
+    axes = len(groups[-1][3]) if 2 * size <= resolution else 0
+    block = size ** axes if axes else 0  # values on the extended generator's corner
 
     deg = a.degree()
     terms = []
     for m, (cr, ci) in coeffs.items():
         scale = den ** (deg - sum(m))
         ids = tuple(partials.index(tuple(m[i] for i in slots))
-                    for slots, partials, _ in groups)
+                    for _, slots, partials, _ in groups)
         terms.append((cr * scale, ci * scale, ids))
 
+    lengths = [resolution] * len(groups)
+    if block:
+        lengths[-1] = size
     tables = []
-    for slots, partials, coords in groups:
+    for length, (_, slots, partials, starts) in zip(lengths, groups):
+        coords = [[x0 + k * dx for k in range(length)] for x0, dx in starts]
         if len(coords) == 1:
             points = [(x, 0) for x in coords[0]]
         else:
@@ -184,6 +200,7 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
         tables.append(table)
 
     best = 0
+    corner_re, corner_im = [], []
     for rows in itertools.product(*tables):
         nr = ni = 0
         for cr, ci, ids in terms:
@@ -193,7 +210,71 @@ def _grid_max_abs2(a: StarPoly, box: CompactBox, resolution: int) -> Fraction:
             nr += cr
             ni += ci
         best = max(best, nr * nr + ni * ni)
+        if block:
+            corner_re.append(nr)
+            corner_im.append(ni)
+            if len(corner_re) == block:  # a whole corner, at one point of the rest
+                best = max(best, _extended_max(corner_re, corner_im, axes,
+                                               resolution))
+                corner_re, corner_im = [], []
     return Fraction(best, (lcd * den ** deg) ** 2)
+
+
+def _extended_max(re: list[int], im: list[int], axes: int, resolution: int) -> int:
+    """Largest re^2 + im^2 on the grid of one generator, ``axes`` axes of
+    ``resolution`` points, from its values re + i*im on the corner, the
+    first len(re) ** (1 / axes) points of each axis, in C order.
+
+    One axis extends the real and the imaginary parts as scalars.  Two
+    axes extend the rows of the corner (the real parts, then the imaginary
+    parts, of one row) elementwise along the first axis into the columns
+    of a table of ``size * resolution`` points, then those columns along
+    the second, each column straight into the maximum.
+    """
+    def top(re, im):
+        return max(map(operator.add, map(operator.mul, re, re),
+                       map(operator.mul, im, im)))
+
+    if axes == 1:
+        return top(list(_extend(re, resolution)), list(_extend(im, resolution)))
+
+    def add(u, v):
+        return list(map(operator.add, u, v))
+
+    def sub(u, v):
+        return list(map(operator.sub, u, v))
+
+    size = math.isqrt(len(re))
+    rows = [re[k:k + size] + im[k:k + size] for k in range(0, size * size, size)]
+    table = [0] * (2 * size * resolution)  # real parts, then imaginary parts
+    for k, row in enumerate(_extend(rows, resolution, add, sub)):
+        table[k::resolution] = row
+    half = size * resolution
+    columns = [table[k:k + resolution] + table[half + k:half + k + resolution]
+               for k in range(0, half, resolution)]
+    return max(top(c[:resolution], c[resolution:])
+               for c in _extend(columns, resolution, add, sub))
+
+
+def _extend(values: Sequence, resolution: int, add: Callable = operator.add,
+            sub: Callable = operator.sub) -> Iterator:
+    """The values at 0, 1, ..., resolution - 1 of the polynomial of degree
+    below len(values) that takes ``values`` at 0, 1, ....
+
+    Forward differences: the leading differences of ``values`` are each the
+    first entry of one lazy ``itertools.accumulate``, stacked so that every
+    further value costs len(values) - 1 additions at C level.  With ``add``
+    and ``sub`` elementwise on lists, the values are slices extended
+    together.
+    """
+    firsts = []
+    for _ in range(len(values) - 1):
+        firsts.append(values[0])
+        values = list(map(sub, values[1:], values[:-1]))
+    run = itertools.repeat(values[0], resolution - len(firsts))
+    for first in reversed(firsts):
+        run = itertools.accumulate(run, add, initial=first)
+    return run
 
 
 def seminorm_on_box(subject: Union[StarPoly, TargetFunction], box: CompactBox,

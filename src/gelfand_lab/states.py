@@ -31,8 +31,8 @@ from . import spectrum
 from .algebra import (Monomial, StarPoly, StarPresentation, Terms, grlex_key,
                       mono_involute, normalize_table)
 from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
-from .scalars import (FLOAT_OVERFLOW, ONE, ComplexRational, from_numerators, power,
-                      ratio_to_float, to_float, to_numerators)
+from .scalars import (FLOAT_OVERFLOW, ONE, ZERO, ComplexRational, from_numerators,
+                      power, ratio_to_float, to_float, to_numerators)
 from .spectrum import Character, CompactBox, axis_layout, eval_terms, format_value
 
 Value = Union[ComplexRational, complex]
@@ -271,8 +271,9 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
     """Standard Gaussian moments on one self-adjoint generator.
 
     Densely defined: there is no compact support box, but every polynomial
-    still has an exact expectation through the even-moment recurrence
-    m_k = (k - 1) m_{k-2}, m_0 = 1, m_1 = 0.
+    still has an exact expectation: m_k is the double factorial (k - 1)!!
+    for even k and 0 for odd k, computed on each call, so the state holds
+    no table.
     """
     if not pres.is_star:
         raise StateError("states are defined on *-presentations")
@@ -286,7 +287,6 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
         idx = pres.generator_index(generator)
         if idx not in selfadj:
             raise StateError(f"generator {generator!r} is not self-adjoint")
-    moments = [Fraction(1), Fraction(0)]
 
     def moment(mono: Monomial) -> ComplexRational:
         for i, e in enumerate(mono):
@@ -296,10 +296,7 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
                     f"{pres.generators[i]!r}; the Gaussian rule covers only "
                     f"{pres.generators[idx]!r}")
         k = mono[idx]
-        while len(moments) <= k:
-            j = len(moments)
-            moments.append((j - 1) * moments[j - 2])
-        return ComplexRational(moments[k])
+        return ZERO if k % 2 else ComplexRational(math.prod(range(k - 1, 0, -2)))
 
     def value(terms: Terms) -> ComplexRational:
         total = ComplexRational(0)

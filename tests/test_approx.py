@@ -7,8 +7,6 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import ComplexRational, CompactBox, TargetFunction, approx
@@ -125,57 +123,6 @@ def test_seminorm_of_target_magnitude_is_python_abs():
         z = complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.randint(-5, 5)
         est = gl.seminorm_on_box(TargetFunction("z", 1, fn=lambda p: z), box, resolution=2)
         assert est.lower == abs(z)
-
-
-GRID_PRESENTATIONS = {
-    "line": line,
-    "disk": disk,
-    "pair": lambda: gl.parse_presentation("algebra Pair ; generator z, w : free ;"),
-    "plain": plain,  # algebra mode: x has no adjoint partner
-}
-
-grid_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
-grid_widths = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 7),
-                               Fraction(1), Fraction(5, 2)])
-
-
-@st.composite
-def grid_cases(draw):
-    pres = GRID_PRESENTATIONS[draw(st.sampled_from(sorted(GRID_PRESENTATIONS)))]()
-    dim = sum(n for _, n in gl.axis_layout(pres))
-    intervals = [(lo, lo + draw(grid_widths))
-                 for lo in draw(st.lists(grid_fractions, min_size=dim, max_size=dim))]
-    monos = st.tuples(*[st.integers(0, 3)] * len(pres.generators))
-    table = draw(st.dictionaries(
-        monos, st.builds(ComplexRational, grid_fractions, grid_fractions), max_size=4))
-    resolution = draw(st.integers(2, 4))
-    return pres.poly(table), CompactBox.from_intervals(pres, intervals), resolution
-
-
-def assert_grid_bracket_exact(a, box, resolution):
-    est = gl.seminorm_on_box(a, box, resolution=resolution)
-    assert est.lower_sq == max(gl.gelfand_eval(a, p).abs2()
-                               for p in box.grid_points(resolution))
-    assert est.upper_exact == gl.coefficient_bound(a, box)
-
-
-@given(grid_cases())
-def test_seminorm_grid_matches_character_evaluation(case):
-    assert_grid_bracket_exact(*case)
-
-
-@pytest.mark.parametrize("pres_name, poly, box, resolution", [
-    ("line", "0", "x = [-1, 2]", 5),
-    ("disk", "(3/7-2i)", "z = [-1, 1] x [0, 1/2]", 4),
-    ("line", "x^3 - 1/3*x + 2", "x = [1/3, 1/3]", 4),
-    ("disk", "z^2*adj(z) + 1/7*z - (0+1/3i)", "z = [-1/3, 2/7] x [1/7, 2/3]", 6),
-    ("pair", "z*adj(w) + w^2 - 1/2", "z = [-1, 1/3] x [0, 2/7] ; w = [1, 1] x [-1/7, 1]", 2),
-    ("plain", "x^2 + (0+1i)*x - 1/3", "x = [-1/3, 1/2] x [1/7, 1]", 5),
-], ids=["zero", "constant", "degenerate", "thirds-sevenths", "pair-res2", "unpaired"])
-def test_seminorm_grid_edge_cases(pres_name, poly, box, resolution):
-    pres = GRID_PRESENTATIONS[pres_name]()
-    assert_grid_bracket_exact(gl.parse_poly(poly, pres), gl.parse_box(box, pres),
-                              resolution)
 
 
 # ---------------------------------------------------------------------------

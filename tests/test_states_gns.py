@@ -79,6 +79,31 @@ def test_gaussian_moments_frozen():
         assert gl.expect(st, x ** k) == ComplexRational(m)
 
 
+def test_gaussian_moments_are_double_factorials_and_hold_no_table():
+    st = gl.gaussian_state(line())
+    x = line().gen("x")
+    for k in range(61):
+        # E(x^(2j)) = (2j)! / (2^j j!), the number of pairings of 2j points
+        j = k // 2
+        want = 0 if k % 2 else math.factorial(k) // (2 ** j * math.factorial(j))
+        assert st.moment((k,)) == ComplexRational(want)
+        assert gl.expect(st, x ** k) == ComplexRational(want)
+    assert st.moment((300,)) == ComplexRational(math.factorial(300)
+                                                // (2 ** 150 * math.factorial(150)))
+
+    def closure_values(fn, seen):
+        for cell in getattr(fn, "__closure__", None) or ():
+            value = cell.cell_contents
+            if callable(value) and id(value) not in seen:
+                seen.add(id(value))
+                yield from closure_values(value, seen)
+            yield value
+
+    held = [v for fn in (st.moment, st.functional)
+            for v in closure_values(fn, set())]
+    assert held and not any(isinstance(v, (list, dict)) for v in held)
+
+
 def test_gaussian_state_errors():
     with pytest.raises(StateError, match="self-adjoint"):
         gl.gaussian_state(disk())
