@@ -15,11 +15,12 @@ what the underlying functor forgets.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, neg
+from operator import add, le, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -40,6 +41,10 @@ IntTable = dict[Monomial, tuple[int, int]]
 IntTerms = tuple[tuple[Monomial, tuple[int, int]], ...]
 # (den, table): a coefficient table in the scalars.to_numerators format
 IntForm = tuple[int, IntTable]
+# the same with each monomial as its code at one _Layout
+CodeTable = dict[int, tuple[int, int]]
+CodeTerms = tuple[tuple[int, tuple[int, int]], ...]
+CodeForm = tuple[int, CodeTable]
 
 MODE_ALGEBRA = "algebra"
 MODE_STAR = "star-algebra"
@@ -85,6 +90,67 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 # ---------------------------------------------------------------------------
+# monomial codes: one int per monomial, integer order = graded-lex order
+# ---------------------------------------------------------------------------
+
+class _Layout:
+    """Monomial codes on ``n`` generators with ``bits`` value bits a field.
+
+    A code is one int: the total degree in the top field, and below it
+    one field of bits + 1 bits per generator, generator 0 most
+    significant.  While every exponent is below 2**bits no field carries
+    into the next, so comparing codes compares the degree, then the
+    exponents from generator 0 on: integer order is graded-lex order.
+    The code of a product is the sum of the codes, that of a quotient the
+    difference, and lead divides m exactly when no field of m - lead
+    borrows, which the top (guard) bit of each field shows:
+    ``(m + guard - lead) & guard == guard``.
+    """
+
+    __slots__ = ("bits", "mask", "shifts", "units", "guard")
+
+    def __init__(self, n: int, bits: int) -> None:
+        width = bits + 1
+        self.bits, self.mask = bits, (1 << bits) - 1
+        self.shifts = tuple(width * (n - 1 - i) for i in range(n))
+        # the code of generator i: degree 1 and exponent 1 in field i
+        self.units = tuple((1 << width * n) + (1 << s) for s in self.shifts)
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+
+    def code(self, m: Monomial) -> int:
+        return sum(map(mul, m, self.units))
+
+    def mono(self, code: int) -> Monomial:
+        mask = self.mask
+        return tuple([code >> s & mask for s in self.shifts])
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(n: int, bits: int) -> _Layout:
+    return _Layout(n, bits)
+
+
+def _lead_degree(rules: Sequence[RewriteRule]) -> int:
+    """The largest degree of a rule lead.  A call whose tables have degree
+    at most ``bound`` codes at ``_layout(n, max(bound, lead degree))``:
+    reduction only adds graded-lex smaller monomials, and a rule's tail is
+    smaller than its lead, so no exponent the call meets exceeds that."""
+    return max((sum(rule.lead) for rule in rules), default=0)
+
+
+def _encode(layout: _Layout, form: IntForm) -> CodeForm:
+    den, table = form
+    code = layout.code
+    return den, {code(m): xy for m, xy in table.items()}
+
+
+def _decode(layout: _Layout, form: CodeForm) -> IntForm:
+    den, table = form
+    mono = layout.mono
+    return den, {mono(c): xy for c, xy in table.items()}
+
+
+# ---------------------------------------------------------------------------
 # raw coefficient tables: dict arithmetic with no rewriting
 # ---------------------------------------------------------------------------
 
@@ -100,7 +166,12 @@ def raw_add_into(acc: RawTable, terms: Iterable[tuple[Monomial, ComplexRational]
 
 def raw_mul(a: Mapping[Monomial, ComplexRational],
             b: Mapping[Monomial, ComplexRational]) -> RawTable:
-    return dict(_from_int_table(*_int_mul(_int_table(a.items()), _int_table(b.items()))))
+    if not (a and b):
+        return {}
+    layout = _layout(len(next(iter(a))), (max(map(sum, a)) + max(map(sum, b))).bit_length())
+    product = _int_mul(_encode(layout, _int_table(a.items())),
+                       _encode(layout, _int_table(b.items())))
+    return dict(_from_int_table(*_decode(layout, product)))
 
 
 def raw_involute(adjoint: Sequence[int], a: Mapping[Monomial, ComplexRational]) -> RawTable:
@@ -166,16 +237,17 @@ def _lowest(den: int, table: IntTable) -> IntForm:
     return den // g, {m: (x // g, y // g) for m, (x, y) in table.items()}
 
 
-def _add_shifted(table: IntTable, terms: Iterable[tuple[Monomial, tuple[int, int]]],
-                 shift: Monomial, re: int, im: int) -> list[Monomial]:
-    """table += (re + im*i) * x^shift * terms, all over one denominator.
+def _add_shifted(table: CodeTable, terms: Iterable[tuple[int, tuple[int, int]]],
+                 shift: int, re: int, im: int) -> list[int]:
+    """table += (re + im*i) * x^shift * terms, all over one denominator, on
+    codes of one layout.
 
-    Returns the monomials new to the table.  Entries that cancel stay, as
+    Returns the codes new to the table.  Entries that cancel stay, as
     (0, 0), so a monomial enters the table once.
     """
     new = []
     for m, (x, y) in terms:
-        m = tuple(map(add, m, shift))
+        m += shift
         dx, dy = re * x - im * y, re * y + im * x
         old = table.get(m)
         if old is None:
@@ -186,19 +258,20 @@ def _add_shifted(table: IntTable, terms: Iterable[tuple[Monomial, tuple[int, int
     return new
 
 
-def _int_mul(a: IntForm, b: IntForm) -> IntForm:
-    """The raw product of two integer forms, over den_a * den_b."""
+def _int_mul(a: CodeForm, b: CodeForm) -> CodeForm:
+    """The raw product of two coded forms, over den_a * den_b."""
     (den_a, a_ints), (den_b, b_ints) = a, b
     b_terms = tuple(b_ints.items())
-    table: IntTable = {}
+    table: CodeTable = {}
     for m, (x, y) in a_ints.items():
         _add_shifted(table, b_terms, m, x, y)
     return den_a * den_b, table
 
 
-def _product(rules: Sequence[RewriteRule], a: IntForm, b: IntForm) -> IntForm:
+def _product(rules: Sequence[RewriteRule], layout: _Layout, a: CodeForm,
+             b: CodeForm) -> CodeForm:
     """The normal form of a * b, in lowest terms."""
-    return _reduce(rules, *_int_mul(a, b))
+    return _reduce(rules, layout, *_int_mul(a, b))
 
 
 def _combine(parts: Iterable[tuple[tuple[int, int], int, IntTable]]) -> IntForm:
@@ -220,10 +293,11 @@ def _combine(parts: Iterable[tuple[tuple[int, int], int, IntTable]]) -> IntForm:
     return _lowest(den, {m: acc[m] for m in monos})
 
 
-def _involute_ints(adjoint: Sequence[int], table: IntTable) -> IntTable:
-    """The involution on an integer table: each exponent moves to its
-    partner slot and each imaginary numerator changes sign."""
-    return {mono_involute(adjoint, m): (x, -y) for m, (x, y) in table.items()}
+def _involute_codes(layout: _Layout, adjoint: Sequence[int], table: IntTable) -> CodeTable:
+    """The involution of an integer table, coded: each exponent moves to
+    its partner slot and each imaginary numerator changes sign."""
+    code = layout.code
+    return {code(mono_involute(adjoint, m)): (x, -y) for m, (x, y) in table.items()}
 
 
 def sort_terms(table: Mapping[Monomial, ComplexRational]) -> Terms:
@@ -245,7 +319,8 @@ class RewriteRule:
     The division loop and the confluence check read the monic tail,
     tail / coeff, as Gaussian-integer numerators ``tail_ints`` over
     ``tail_den``, fixed once by ``orient``; the tail itself is the rest of
-    relation ``index`` after its lead term.
+    relation ``index`` after its lead term.  ``coded`` gives the lead and
+    the monic tail as codes, encoded once per layout.
     """
 
     lead: Monomial
@@ -253,6 +328,8 @@ class RewriteRule:
     index: int  # position in the presentation's relation list
     tail_den: int
     tail_ints: IntTerms
+    _codes: dict[_Layout, tuple[int, CodeTerms]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def orient(cls, terms: Terms, index: int) -> "RewriteRule":
@@ -261,6 +338,15 @@ class RewriteRule:
         monic = tail if coeff == ONE else tuple((m, c / coeff) for m, c in tail)
         den, ints = _int_table(monic)
         return cls(lead, coeff, index, den, tuple(ints.items()))
+
+    def coded(self, layout: _Layout) -> tuple[int, CodeTerms]:
+        """(lead code, monic tail by code) at the layout."""
+        got = self._codes.get(layout)
+        if got is None:
+            code = layout.code
+            got = self._codes[layout] = (
+                code(self.lead), tuple((code(m), xy) for m, xy in self.tail_ints))
+        return got
 
 
 @dataclass(frozen=True)
@@ -286,33 +372,46 @@ def normalize_table(rules: Sequence[RewriteRule], raw: Mapping[Monomial, Complex
     shifted relations, which tests replay to certify soundness.
     """
     steps: list[RewriteStep] = []
-    normal = _reduce(rules, *_int_table(raw.items()), steps if record else None)
+    top = max(max(map(sum, raw), default=0), _lead_degree(rules))
+    layout = _layout(len(next(iter(raw), ())), top.bit_length())
+    normal = _normalize(rules, layout, _int_table(raw.items()), steps if record else None)
     return _from_int_table(*normal), steps
 
 
-def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
-            steps: list[RewriteStep] | None = None) -> IntForm:
-    """The division loop of normalize_table on an integer table over den,
-    returning the normal form as an integer form in lowest terms; the steps
-    are appended to ``steps`` when it is given.
+def _normalize(rules: Sequence[RewriteRule], layout: _Layout, form: IntForm,
+               steps: list[RewriteStep] | None = None) -> IntForm:
+    """The normal form of an integer form: coded, reduced and decoded."""
+    return _decode(layout, _reduce(rules, layout, *_encode(layout, form), steps))
 
-    A heap of negated graded-lex keys yields the largest monomial left.  A
+
+def _reduce(rules: Sequence[RewriteRule], layout: _Layout, den: int, table: CodeTable,
+            steps: list[RewriteStep] | None = None) -> CodeForm:
+    """The division loop of normalize_table on a coded table over den,
+    returning the normal form, coded, in lowest terms and descending
+    graded-lex order; the steps are appended to ``steps`` when it is given.
+
+    A heap of negated codes yields the largest monomial left.  A
     reduction only adds monomials smaller than the one it removes, so a
     popped monomial never comes back, each monomial enters the heap once,
     with the table, and an entry that cancelled to zero is skipped when
     popped: the order is that of a max scan over the nonzero entries.
     """
-    heap = [(-sum(m), tuple(map(neg, m)), m) for m in table]
+    guard = layout.guard
+    coded = [(rule, *rule.coded(layout)) for rule in rules]
+    heap = [-m for m in table]
     heapq.heapify(heap)
-    normal: IntTable = {}
+    normal: CodeTable = {}
     count, cap = 0, MAX_REWRITE_STEPS
     while heap:
-        mono = heapq.heappop(heap)[2]
+        mono = -heapq.heappop(heap)
         re, im = table.pop(mono)
         if not (re or im):
             continue
-        rule = next((r for r in rules if mono_divides(r.lead, mono)), None)
-        if rule is None:
+        probe = mono + guard
+        for rule, lead, tail in coded:
+            if (probe - lead) & guard == guard:
+                break
+        else:
             normal[mono] = (re, im)
             continue
         count += 1
@@ -320,10 +419,10 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
             raise RewriteBudgetError(
                 f"normalization exceeds the cap of {cap} rewrite steps "
                 f"(last rule index {rule.index})")
-        shift = mono_quotient(mono, rule.lead)
+        shift = mono - lead
         if steps is not None:
             coeff = ComplexRational(Fraction(re, den), Fraction(im, den))
-            steps.append(RewriteStep(rule.index, shift, coeff / rule.coeff))
+            steps.append(RewriteStep(rule.index, layout.mono(shift), coeff / rule.coeff))
         # subtract (re + im*i)/den * x^shift * (lead + tail_ints/tail_den);
         # what of tail_den the coefficient does not absorb scales the table
         g = math.gcd(re, im, rule.tail_den)
@@ -332,8 +431,8 @@ def _reduce(rules: Sequence[RewriteRule], den: int, table: IntTable,
             den *= scale
             table = {m: (x * scale, y * scale) for m, (x, y) in table.items()}
             normal = {m: (x * scale, y * scale) for m, (x, y) in normal.items()}
-        for m in _add_shifted(table, rule.tail_ints, shift, -re // g, -im // g):
-            heapq.heappush(heap, (-sum(m), tuple(map(neg, m)), m))
+        for m in _add_shifted(table, tail, shift, -re // g, -im // g):
+            heapq.heappush(heap, -m)
     return _lowest(den, normal)
 
 
@@ -373,7 +472,7 @@ class StarPresentation:
     """
 
     __slots__ = ("name", "mode", "generators", "adjoint", "relations",
-                 "_rules", "_key")
+                 "_rules", "_key", "_lead_degree")
 
     def __init__(self, name: str, mode: str, generators: tuple[str, ...],
                  adjoint: tuple[int | None, ...], relations: tuple[Terms, ...],
@@ -386,6 +485,7 @@ class StarPresentation:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "_rules", rules)
         object.__setattr__(self, "_key", (mode, adjoint, relations))
+        object.__setattr__(self, "_lead_degree", _lead_degree(rules))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StarPresentation is immutable")
@@ -429,34 +529,39 @@ class StarPresentation:
         rules = tuple(RewriteRule.orient(t, i) for i, t in enumerate(relations))
         pres = cls(name, mode, generators, adjoint, relations, rules)
 
+        # one layout for both checks: an S-polynomial's degree is at most
+        # its lcm's, at most twice the largest lead degree
+        layout = _layout(n, (2 * pres._lead_degree).bit_length())
         # confluence first: on a non-confluent system the closure check below
         # would blame the involution for what is really an unresolved overlap
-        pres._check_confluence()
+        pres._check_confluence(layout)
         if mode == MODE_STAR:
             for i, rel in enumerate(relations):
                 den, table = _int_table(rel)
-                if _reduce(rules, den, _involute_ints(adjoint, table))[1]:
+                if _reduce(rules, layout, den, _involute_codes(layout, adjoint, table))[1]:
                     raise PresentationError(
                         f"relation {i} is not matched under the involution; "
                         f"add its adjoint as a relation")
         return pres
 
-    def _check_confluence(self) -> None:
+    def _check_confluence(self, layout: _Layout) -> None:
         rules = self._rules
+        coded = [rule.coded(layout) for rule in rules]
         for i in range(len(rules)):
             for j in range(i + 1, len(rules)):
                 ri, rj = rules[i], rules[j]
+                (lead_i, tail_i), (lead_j, tail_j) = coded[i], coded[j]
                 lcm = mono_lcm(ri.lead, rj.lead)
-                if lcm == mono_mul(ri.lead, rj.lead):
+                top = layout.code(lcm)
+                if top == lead_i + lead_j:
                     continue  # coprime leads: the pair resolves trivially
                 # the monic leads cancel, so the S-polynomial is the two
                 # shifted monic tails over the lcm of their denominators
                 den = math.lcm(ri.tail_den, rj.tail_den)
-                s_poly: IntTable = {}
-                for rule, sign in ((ri, 1), (rj, -1)):
-                    _add_shifted(s_poly, rule.tail_ints, mono_quotient(lcm, rule.lead),
-                                 sign * (den // rule.tail_den), 0)
-                if _reduce(rules, den, s_poly)[1]:
+                s_poly: CodeTable = {}
+                _add_shifted(s_poly, tail_i, top - lead_i, den // ri.tail_den, 0)
+                _add_shifted(s_poly, tail_j, top - lead_j, -(den // rj.tail_den), 0)
+                if _reduce(rules, layout, den, s_poly)[1]:
                     raise PresentationError(
                         f"relations {i} and {j} are not confluent: "
                         f"unresolved overlap at {lcm}")
@@ -506,10 +611,19 @@ class StarPresentation:
     def rules(self) -> tuple[RewriteRule, ...]:
         return self._rules
 
+    def _layout(self, bound: int) -> _Layout:
+        """The code layout of a call whose tables have degree <= bound."""
+        return _layout(len(self.generators), max(bound, self._lead_degree).bit_length())
+
     # ---- element constructors ----
 
     def poly(self, table: Mapping[Monomial, ComplexRational]) -> "StarPoly":
-        return StarPoly._from_ints(self, _reduce(self._rules, *_int_table(table.items())))
+        return self._normal(_int_table(table.items()))
+
+    def _normal(self, form: IntForm) -> "StarPoly":
+        """The element of an integer form, reduced to normal form."""
+        layout = self._layout(max(map(sum, form[1]), default=0))
+        return StarPoly._from_ints(self, _normalize(self._rules, layout, form))
 
     def zero(self) -> "StarPoly":
         return StarPoly._from_ints(self, (1, {}))
@@ -527,7 +641,7 @@ class StarPresentation:
     def gen(self, which: Union[int, str]) -> "StarPoly":
         idx = self.generator_index(which)
         mono = tuple(1 if i == idx else 0 for i in range(len(self.generators)))
-        return self.poly({mono: ONE})
+        return self._normal((1, {mono: (1, 0)}))
 
     def monomials_up_to(self, degree: int) -> list[Monomial]:
         """All rule-irreducible monomials of total degree <= degree,
@@ -676,8 +790,10 @@ class StarPoly:
             return StarPoly._from_ints(self.pres, _combine(
                 [((c_re[0], c_im[0]), c_den * den, table)]))
         self._require_same(other)
-        return StarPoly._from_ints(
-            self.pres, _product(self.pres._rules, self.int_form, other.int_form))
+        rules, layout = self.pres._rules, self.pres._layout(
+            max(self.degree(), 0) + max(other.degree(), 0))
+        return StarPoly._from_ints(self.pres, _decode(layout, _product(
+            rules, layout, _encode(layout, self.int_form), _encode(layout, other.int_form))))
 
     def __rmul__(self, other: ScalarLike) -> "StarPoly":
         return self.__mul__(other)
@@ -691,18 +807,32 @@ class StarPoly:
         if d > 0:
             check_cap(f"power expansion to C({n}*{d} + {k}, {k}) monomials",
                       math.comb(n * d + k, k), MAX_POWER_TERMS)
-        rules = self.pres._rules
-        one = _reduce(rules, 1, {(0,) * k: (1, 0)})  # zero under a constant relation
-        return StarPoly._from_ints(self.pres, power(
-            self.int_form, n, one, lambda a, b: _product(rules, a, b)))
+        # the whole square-and-multiply chain runs on codes at one width:
+        # no power in it exceeds self**n
+        rules, layout = self.pres._rules, self.pres._layout(max(n, 1) * max(d, 0))
+        one = _reduce(rules, layout, 1, {0: (1, 0)})  # zero under a constant relation
+        return StarPoly._from_ints(self.pres, _decode(layout, power(
+            _encode(layout, self.int_form), n, one,
+            lambda a, b: _product(rules, layout, a, b))))
+
+    def power_sizes(self, count: int) -> Iterator[int]:
+        """The term counts of the normal forms of self**1, ..., self**count,
+        each power the one before times self, on codes at one width."""
+        rules, layout = self.pres._rules, self.pres._layout(max(count, 1) * max(self.degree(), 0))
+        base = _encode(layout, self.int_form)
+        acc = _reduce(rules, layout, 1, {0: (1, 0)})
+        for _ in range(count):
+            acc = _product(rules, layout, acc, base)
+            yield len(acc[1])
 
     def involute(self) -> "StarPoly":
         """The image under the involution; rejects algebra-mode elements."""
         if not self.pres.is_star:
             raise AlgebraError("underlying algebra carries no involution")
         den, table = self.int_form
-        return StarPoly._from_ints(self.pres, _reduce(
-            self.pres._rules, den, _involute_ints(self.pres.adjoint, table)))
+        pres, layout = self.pres, self.pres._layout(max(self.degree(), 0))
+        return StarPoly._from_ints(pres, _decode(layout, _reduce(
+            pres._rules, layout, den, _involute_codes(layout, pres.adjoint, table))))
 
     # ---- identity ----
 

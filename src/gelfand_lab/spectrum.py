@@ -376,8 +376,10 @@ def coefficient_bound(a: StarPoly, box: CompactBox) -> Fraction:
     if a.pres != box.pres:
         raise AlgebraError("element and box live over different presentations")
     gen_bounds = [box.modulus_bound(i) for i in range(len(a.pres.generators))]
-    return algebra.substitute([[(m, c.one_norm()) for m, c in a.terms]],
-                              [gen_bounds], Fraction(0))[0][0]
+    # the one-norms |re| + |im| of the numerators, over lcd once at the end
+    lcd, table = a.int_form
+    return algebra.substitute([[(m, abs(x) + abs(y)) for m, (x, y) in table.items()]],
+                              [gen_bounds], Fraction(0))[0][0] / lcd
 
 
 @dataclass(frozen=True)
@@ -509,12 +511,9 @@ def is_nilpotent(a: StarPoly, bound: int = 16) -> tuple[bool, int | None]:
     exponent that small works.
     """
     check_cap(f"nilpotency bound {bound}", bound, MAX_NILPOTENT_BOUND)
-    power = a.pres.one()
-    for n in range(1, bound + 1):
-        power = power * a
-        if power.is_zero():
+    for n, size in enumerate(a.power_sizes(bound), 1):
+        if not size:
             return True, n
-        size = len(power.int_form[1])
         check_cap(f"nilpotency search: power {n} with {size} terms",
                   size, algebra.MAX_POWER_TERMS)
     return False, None

@@ -1,17 +1,18 @@
 import gc
+import math
 import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gelfand_lab as gl
 from gelfand_lab import (ComplexRational, Morphism, StarPresentation,
                          verify_rewrite_trace)
-from gelfand_lab.algebra import (MAX_POWER_TERMS, RewriteRule, RewriteStep, grlex_key,
-                                 mono_divides, mono_mul, mono_quotient,
+from gelfand_lab.algebra import (MAX_POWER_TERMS, RewriteRule, RewriteStep, _layout,
+                                 grlex_key, mono_divides, mono_mul, mono_quotient,
                                  normalize_table, raw_involute, raw_mul,
                                  sort_terms)
 from gelfand_lab.errors import (AlgebraError, MorphismError,
@@ -175,7 +176,7 @@ def test_rewrite_budget(monkeypatch):
         "Tiny", "star-algebra", ("x",), (0,),
         [{(2,): ComplexRational(1), (1,): ComplexRational(-1)}])
     monkeypatch.setattr(gl.algebra, "MAX_REWRITE_STEPS", 3)
-    with pytest.raises(RewriteBudgetError):
+    with pytest.raises(RewriteBudgetError, match=r"cap of 3 rewrite steps \(last rule index 0\)"):
         pres.poly({(50,): ComplexRational(1)})
 
 
@@ -250,6 +251,8 @@ REFERENCE_PRESENTATIONS = {
     "three-points": lambda: gl.parse_presentation(
         "algebra P ; generator x, y : selfadjoint ; relation x^2 - y ; "
         "relation x*y - x ; relation y^2 - y ;"),
+    "five-generators": lambda: StarPresentation.assemble(
+        "Multi", "star-algebra", ("x", "y1", "y2", "y3", "y4"), range(5), _assemble4_tables()),
 }
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -273,6 +276,114 @@ def test_division_loop_matches_sort_and_scan_reference(case):
     normal, steps = normalize_table(pres.rules(), raw, record=True)
     assert (normal, steps) == sort_and_scan_normalize(pres, raw)
     assert verify_rewrite_trace(pres, raw, normal, steps)
+
+
+# ---------------------------------------------------------------------------
+# the coded kernel: one int per monomial, integer order = graded-lex order
+# ---------------------------------------------------------------------------
+
+@st.composite
+def coded_monomials(draw):
+    n, bits = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    monos = st.tuples(*[st.integers(0, 2 ** bits - 1)] * n)
+    return _layout(n, bits), draw(st.lists(monos, min_size=1, max_size=12, unique=True))
+
+
+@given(coded_monomials())
+def test_code_order_is_graded_lex_order(case):
+    layout, monos = case
+    assert sorted(monos, key=layout.code) == sorted(monos, key=grlex_key)
+    assert [layout.mono(layout.code(m)) for m in monos] == monos
+    for a in monos:
+        for b in monos:
+            divides = (layout.code(b) + layout.guard - layout.code(a)) & layout.guard \
+                == layout.guard
+            assert divides == mono_divides(a, b)
+
+
+def nil_ab(a, b):
+    return gl.parse_presentation(f"algebra N ; generator x, y : selfadjoint ; "
+                                 f"relation x^{a} ; relation y^{b} ;")
+
+
+KERNEL_PRESENTATIONS = {
+    "complex-leads": complex_leads,
+    "circle": circle,
+    "sphere": sphere,
+    "nil-3-5": lambda: nil_ab(3, 5),
+    "five-generators": REFERENCE_PRESENTATIONS["five-generators"],
+    "free-five": lambda: gl.parse_presentation(
+        "algebra F ; generator a, b, c, d, e : selfadjoint ;"),
+}
+
+
+def reference_product(pres, *factors):
+    """The normal form of a product through raw ComplexRational tables and
+    the sort-and-scan reduction."""
+    table = {(0,) * len(pres.generators): ComplexRational(1)}
+    for f in factors:
+        table = naive_mul(table, f.as_table())
+    return sort_and_scan_normalize(pres, table)[0]
+
+
+@st.composite
+def kernel_operands(draw):
+    pres = KERNEL_PRESENTATIONS[draw(st.sampled_from(sorted(KERNEL_PRESENTATIONS)))]()
+    n = len(pres.generators)
+    coeffs = st.builds(ComplexRational, small_fractions, small_fractions)
+
+    def element():
+        monos = st.tuples(*[st.integers(0, 3 if n < 4 else 1)] * n)
+        return pres.poly(draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+    return pres, element(), element(), draw(st.integers(0, 4 if n < 4 else 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands())
+def test_coded_products_and_powers_match_sort_and_scan(case):
+    pres, a, b, k = case
+    # the largest exponent up to k that the power cap admits
+    d, n = max(a.degree(), 0), len(pres.generators)
+    k = max(j for j in range(k + 1) if math.comb(j * d + n, n) <= MAX_POWER_TERMS)
+    assert (a * b).terms == reference_product(pres, a, b)
+    assert (a ** k).terms == reference_product(pres, *[a] * k)
+    assert list(a.power_sizes(k)) == [len(reference_product(pres, *[a] * j))
+                                      for j in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PRESENTATIONS))
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_coded_kernel_at_the_width_boundary(name, bits):
+    # a product or power of degree 2^b - 1 fills the b value bits of the
+    # width its call picks; one of degree 2^b makes the call pick b + 1
+    pres = KERNEL_PRESENTATIONS[name]()
+    lead_degree = max((sum(r.lead) for r in pres.rules()), default=0)
+    x, last = pres.gen(0), pres.gen(len(pres.generators) - 1)
+    for top in (2 ** bits - 1, 2 ** bits):
+        if lead_degree > top:
+            continue
+        assert pres._layout(top).bits == top.bit_length()
+        a = pres.poly({(top - 1,) + (0,) * (len(pres.generators) - 1): ComplexRational(1)})
+        b = x + last * Fraction(1, 3) - 2
+        if not a.is_zero() and a.degree() + b.degree() == top:
+            assert (a * b).terms == reference_product(pres, a, b)
+        c = x - last * Fraction(1, 2)
+        if math.comb(top + len(pres.generators), top) <= MAX_POWER_TERMS:
+            assert (c ** top).terms == reference_product(pres, *[c] * top)
+        raw = {(top,) + (0,) * (len(pres.generators) - 1): ComplexRational(1, 2),
+               (0,) * (len(pres.generators) - 1) + (top,): ComplexRational(-1)}
+        normal, steps = normalize_table(pres.rules(), raw, record=True)
+        assert (normal, steps) == sort_and_scan_normalize(pres, raw)
+        assert verify_rewrite_trace(pres, raw, normal, steps)
+
+
+def test_rule_codes_are_kept_per_layout():
+    # an empty table carries no generator count; its call must not leave
+    # codes of another layout behind for the next call at the same width
+    pres = circle()
+    assert normalize_table(pres.rules(), {}) == ((), [])
+    assert pres.poly({(1, 1): ComplexRational(1)}) == pres.one()
+    assert gl.parse_poly("z - z + z*adj(z)", pres) == pres.one()
 
 
 def naive_mul(a, b):
