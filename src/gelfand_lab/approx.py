@@ -503,21 +503,27 @@ def bernstein_approx(f: TargetFunction, n: int,
 def density_witness(f: TargetFunction, epsilon: float,
                     max_degree: int = 256,
                     error_resolution: int | None = None) -> BernsteinResult | None:
-    """Search doubling degrees for a Bernstein approximant within epsilon."""
+    """The first of degrees 4, 8, 16, ... and then ``max_degree`` whose
+    Bernstein approximant is within epsilon, or None.  On a convex target
+    B_n f decreases toward f, so a miss at max_degree is a miss below it."""
     if not 0 < epsilon < math.inf:
         raise AlgebraError(f"approximation epsilon must be positive and finite, "
                            f"not {epsilon}")
     if error_resolution is not None and error_resolution < 2:
         raise AlgebraError("Bernstein error grid needs a resolution of at least 2")
+    if max_degree < 1:
+        raise AlgebraError(f"Bernstein search needs a max degree of at least 1, "
+                           f"not {max_degree}")
     check_cap(f"Bernstein search up to degree {max_degree}", max_degree,
               MAX_BERNSTEIN_DEGREE)
     n = 4
-    while n <= max_degree:
-        result = bernstein_approx(f, n, error_resolution=error_resolution)
+    while True:
+        result = bernstein_approx(f, min(n, max_degree), error_resolution=error_resolution)
         if result.error.lower < epsilon:
             return result
+        if n >= max_degree:
+            return None
         n *= 2
-    return None
 
 
 # ---------------------------------------------------------------------------

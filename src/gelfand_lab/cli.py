@@ -492,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     how = p.add_mutually_exclusive_group(required=True)
     how.add_argument("--degree", type=int, help="fixed Bernstein degree")
     how.add_argument("--epsilon", type=float,
-                     help="search for the least doubling degree within "
-                          "this sup error")
+                     help="search degrees 4, 8, 16, ... and then --max-degree "
+                          "for the first within this sup error")
     p.add_argument("--max-degree", type=int, default=256,
                    help="search cap for --epsilon (default %(default)s)")
     p.add_argument("--resolution", type=int,

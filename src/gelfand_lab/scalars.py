@@ -231,4 +231,3 @@ def from_numerators(den: int, re, im) -> list[ComplexRational]:
 
 ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
-I = ComplexRational(0, 1)

@@ -510,6 +510,8 @@ def is_nilpotent(a: StarPoly, bound: int = 16) -> tuple[bool, int | None]:
     proof of nilpotency, and its failure up to the bound is a proof that no
     exponent that small works.
     """
+    if bound < 1:
+        raise AlgebraError(f"nilpotency bound must be at least 1, not {bound}")
     check_cap(f"nilpotency bound {bound}", bound, MAX_NILPOTENT_BOUND)
     for n, size in enumerate(a.power_sizes(bound), 1):
         if not size:

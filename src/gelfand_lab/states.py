@@ -28,7 +28,7 @@ from operator import mul
 from typing import Callable, Mapping, Sequence, Union
 
 from . import spectrum
-from .algebra import (Monomial, StarPoly, StarPresentation, Terms, grlex_key,
+from .algebra import (Monomial, StarPoly, StarPresentation, Terms, _layout, grlex_key,
                       mono_involute, normalize_table)
 from .errors import AlgebraError, GnsError, StateError, check_cap, require_numpy
 from .scalars import (FLOAT_OVERFLOW, ONE, ZERO, ComplexRational, from_numerators,
@@ -65,54 +65,55 @@ class State:
     densely_defined: bool
     source: str  # canonical state text, read back by parse_state
     functional: Callable[[StarPoly], Value]  # a -> E(a)
-    moment: Callable[[Monomial], Value]  # raw monomial m -> E(m)
+    # raw monomials -> E of each, in one call
+    moments: Callable[[Sequence[Monomial]], list[Value]]
     support: int | None = None  # support points, which bound every Gram rank
-    # raw monomials -> E of each, in one call.  When set it must agree with
-    # ``moment``, and ``moments`` (so the GNS construction) uses it instead;
-    # None runs ``moment`` per key
-    batch: Callable[[Sequence[Monomial]], list[Value]] | None = None
 
     def expect(self, a: StarPoly) -> Value:
         return expect(self, a)
 
-    def moments(self, keys: Sequence[Monomial]) -> list[Value]:
-        """E on each raw monomial of a batch."""
-        if self.batch is None:
-            return [self.moment(key) for key in keys]
-        return self.batch(keys)
+    def moment(self, mono: Monomial) -> Value:
+        """E on one raw monomial."""
+        return self.moments([mono])[0]
 
 
 def _point_state(kind: str, pres: StarPresentation, source: str,
                  points: Sequence[Character],
                  weights: Sequence[Union[Fraction, float]]) -> State:
     """E(a) = sum of w * a(p) over weighted points; exact when every point is."""
-    exact = all(p.exact for p in points)
-    pairs = tuple(zip(points, weights if exact else map(float, weights)))
+    if all(p.exact for p in points):
+        batch = _exact_point_batch(tuple(zip(points, weights)))
+        return State(kind, pres, True, False, source, lambda a: _combine(a.terms, batch),
+                     batch, len(points))
+    pairs = tuple(zip(points, map(float, weights)))
 
     # the exact points and the float points each take one ``eval_terms``
     # call per batch, so each point's powers are computed once per batch
     groups = {ex: [char.values for char, _ in pairs if char.exact == ex]
               for ex in (True, False)}
 
-    def values(batch: Sequence[Terms]) -> list[Value]:
+    def values(batch: Sequence[Terms]) -> list[complex]:
         """E on each terms list of a batch."""
         at = {ex: iter(eval_terms(batch, group, ex)) for ex, group in groups.items() if group}
-        sums: list[Value] = [ComplexRational(0) if exact else 0j] * len(batch)
+        sums = [0j] * len(batch)
         for char, w in pairs:
             totals = next(at[char.exact])
-            if char.exact and not exact:
+            if char.exact:
                 totals = map(complex, totals)
             sums = [s + v * w for s, v in zip(sums, totals)]
         return sums
 
-    if exact:
-        batch = _exact_point_batch(pairs)
-    else:
-        # float points need not satisfy the relations exactly
-        normal_form = _normal_form(pres)
-        batch = lambda keys: values(list(map(normal_form, keys)))  # noqa: E731
-    return State(kind, pres, exact, False, source, lambda a: values([a.terms])[0],
-                 lambda mono: batch([mono])[0], len(pairs), batch)
+    # float points need not satisfy the relations exactly
+    normal_form = _normal_form(pres)
+    return State(kind, pres, False, False, source, lambda a: values([a.terms])[0],
+                 lambda keys: values(list(map(normal_form, keys))), len(pairs))
+
+
+def _combine(terms: Terms, batch: Callable[[Sequence[Monomial]], list[ComplexRational]]
+             ) -> ComplexRational:
+    """The sum of c * E(m) over the terms, with E on every m from one call
+    of an exact batch: an exact state's functional on a.terms."""
+    return sum(map(mul, (c for _, c in terms), batch([m for m, _ in terms])), ZERO)
 
 
 def _normal_form(pres: StarPresentation) -> Callable[[Monomial], Terms]:
@@ -288,28 +289,23 @@ def gaussian_state(pres: StarPresentation, generator: str | None = None) -> Stat
         if idx not in selfadj:
             raise StateError(f"generator {generator!r} is not self-adjoint")
 
-    def moment(mono: Monomial) -> ComplexRational:
-        for i, e in enumerate(mono):
-            if e and i != idx:
-                raise StateError(
-                    f"moment rule has no value for generator "
-                    f"{pres.generators[i]!r}; the Gaussian rule covers only "
-                    f"{pres.generators[idx]!r}")
-        k = mono[idx]
-        return ZERO if k % 2 else ComplexRational(math.prod(range(k - 1, 0, -2)))
+    def rule(keys: Sequence[Monomial]) -> list[ComplexRational]:
+        stray = {i for key in keys for i, e in enumerate(key) if e} - {idx}
+        if stray:
+            raise StateError(f"moment rule has no value for generator "
+                             f"{pres.generators[min(stray)]!r}; the Gaussian rule "
+                             f"covers only {pres.generators[idx]!r}")
+        return [ZERO if k % 2 else ComplexRational(math.prod(range(k - 1, 0, -2)))
+                for k in (key[idx] for key in keys)]
 
-    def value(terms: Terms) -> ComplexRational:
-        total = ComplexRational(0)
-        for mono, coeff in terms:
-            total = total + coeff * moment(mono)
-        return total
-
-    # the recurrence on the raw monomial skips the functional's scalar
-    # arithmetic; under rules the monomial must be reduced first
+    # the rule reads the raw monomial itself; under rules it reads the
+    # terms of the normal form.  The terms of an element are irreducible,
+    # so the functional reads them with the rule alone
     normal_form = _normal_form(pres)
-    return State("analytic", pres, True, True,
-                 f"state gaussian({pres.generators[idx]})", lambda a: value(a.terms),
-                 (lambda mono: value(normal_form(mono))) if pres.rules() else moment)
+    moments = (lambda keys: [_combine(normal_form(key), rule) for key in keys]) \
+        if pres.rules() else rule
+    return State("analytic", pres, True, True, f"state gaussian({pres.generators[idx]})",
+                 lambda a: _combine(a.terms, rule), moments)
 
 
 def expect(state: State, a: StarPoly) -> Value:
@@ -380,24 +376,20 @@ def _pairing(state: State, moments: dict[Monomial, Value], basis: Sequence[Monom
     adj(m_i) * w * m_j, the key of that entry's moment; and the moment at
     each distinct code.
 
-    A monomial is coded as one integer in a radix above every exponent in
-    use, so each product is one addition, and only the distinct codes are
-    decoded back to monomials.  The keys not yet in the moment table go to
-    the state as one batch.
+    Monomials are coded at one ``algebra._layout`` wide enough for every
+    product, so each product is one addition, and only the distinct codes
+    are decoded back to monomials.  The keys not yet in the moment table go
+    to the state as one batch.
     """
-    radix = 2 * max(chain.from_iterable(basis), default=0) + max(w, default=0) + 1
-    places = [radix ** i for i in range(len(w))]
-
-    def code(mono: Monomial) -> int:
-        return sum(map(mul, mono, places))
-
+    top = 2 * max(map(sum, basis), default=0) + sum(w)
+    layout = _layout(len(w), top.bit_length())
+    code = layout.code
     adjoint = state.pres.adjoint
     rights = [code(mj) for mj in basis]
     shift = code(w)
     codes = [[left + right for right in rights]
              for left in (code(mono_involute(adjoint, mi)) + shift for mi in basis)]
-    keys = {c: tuple(c // p % radix for p in places)
-            for c in dict.fromkeys(chain.from_iterable(codes))}
+    keys = {c: layout.mono(c) for c in dict.fromkeys(chain.from_iterable(codes))}
     new = [key for key in keys.values() if key not in moments]
     moments.update(zip(new, state.moments(new)))
     return codes, {c: moments[key] for c, key in keys.items()}
@@ -420,7 +412,7 @@ def gram_matrix(state: State, degree: int) -> GnsModel:
     checked Hermitian here and positive semidefinite in :func:`gns_basis`.
     """
     if degree < 0:
-        raise GnsError("degree must be nonnegative")
+        raise AlgebraError("degree must be nonnegative")
     basis = list(islice(state.pres._irreducible(degree), MAX_GNS_BASIS + 1))
     check_cap(f"GNS basis of irreducible monomials up to degree {degree}",
               len(basis), MAX_GNS_BASIS)

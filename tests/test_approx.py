@@ -424,6 +424,25 @@ def test_density_witness():
                               error_resolution=101) is None
 
 
+@pytest.mark.parametrize("epsilon, max_degree, degree", [
+    (0.04, 7, 7),  # 4 misses (1/16), 8 is past the cap, 7 meets it (1/28)
+    (0.1, 3, 3),  # the doubling never starts: 3 is the only degree tried
+    (0.07, 7, 4),  # 4 meets it first
+    (0.03, 7, None),  # 7 misses, and so does every smaller degree
+])
+def test_density_witness_tries_the_max_degree_last(epsilon, max_degree, degree):
+    # on the square, B_n f - f = t(1 - t)/n, whose sup is 1/(4n)
+    f = gl.catalog_target("square")
+    result = gl.density_witness(f, epsilon, max_degree=max_degree)
+    assert (result and result.degree) == degree
+
+
+@pytest.mark.parametrize("max_degree", [0, -5])
+def test_density_witness_rejects_max_degree_below_one(max_degree):
+    with pytest.raises(AlgebraError, match=f"at least 1, not {max_degree}"):
+        gl.density_witness(gl.catalog_target("square"), 0.1, max_degree=max_degree)
+
+
 def test_tabulated_target():
     values = [0.0, 0.5, 1.0, 0.5, 0.0]
     f = gl.tabulated_target(values, name="tent")

@@ -221,6 +221,40 @@ def test_approx_epsilon_search(capsys):
         assert "--degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon, max_degree, degree", [
+    ("0.04", "7", 7), ("0.1", "3", 3)])
+def test_approx_epsilon_search_tries_the_max_degree(capsys, epsilon, max_degree, degree):
+    # the doubling 4, 8, ... skips the cap itself unless it is tried last
+    code, doc, _ = run_json(capsys, "approx", "--target", "square",
+                            "--epsilon", epsilon, "--max-degree", max_degree)
+    assert code == 0
+    assert doc["achieved"] is True and doc["degree"] == degree
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["approx", "--target", "square", "--epsilon", "0.1", "--max-degree", "0"],
+     "max degree of at least 1, not 0"),
+    (["approx", "--target", "square", "--epsilon", "0.1", "--max-degree", "-5"],
+     "max degree of at least 1, not -5"),
+    (["gns", "line", "--state", "state gaussian(x)", "--degree", "-1"],
+     "degree must be nonnegative"),
+    (["state-check", "line", "--state", "state gaussian(x)", "--degree", "-1"],
+     "degree must be nonnegative"),
+    (["nilpotent", "nil", "--poly", "x", "--bound", "0"],
+     "nilpotency bound must be at least 1, not 0"),
+    (["nilpotent", "nil", "--poly", "x", "--bound", "-1"],
+     "nilpotency bound must be at least 1, not -1"),
+], ids=["approx-max-degree-0", "approx-max-degree-neg", "gns-degree-neg",
+        "state-check-degree-neg", "nilpotent-bound-0", "nilpotent-bound-neg"])
+def test_unusable_counts_exit_one(files, capsys, argv, message):
+    # a search cap or bound below 1, or a Gram degree below 0, leaves nothing
+    # to try: unusable input (exit 1), not a mathematical rejection (exit 2)
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
 def test_approx_epsilon_must_be_positive_and_finite(capsys, monkeypatch, epsilon):
     # no degree reaches such an epsilon: it is rejected before the search

@@ -28,7 +28,7 @@ from gelfand_lab.algebra import mono_involute, mono_mul
 from gelfand_lab.errors import GnsError
 from gelfand_lab.scalars import ONE
 
-from helpers import CIRCLE, circle, disk, line
+from helpers import CIRCLE, circle, disk, line, rand_poly
 
 
 def per_entry_gram(state, basis):
@@ -122,7 +122,7 @@ def _exact_rule(pres, moments):
     """An exact state with E(m) = moments[m] (0 off the table), built around
     the checks that the public constructors make."""
     return gl.State("analytic", pres, True, False, "moment rule", lambda a: None,
-                    lambda mono: ComplexRational(*moments.get(mono, (0,))))
+                    lambda keys: [ComplexRational(*moments.get(mono, (0,))) for mono in keys])
 
 
 @pytest.mark.parametrize("moments", [
@@ -140,9 +140,9 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
 @st.composite
-def rational_atomic_states(draw):
-    """An exact atomic state with 1 to 5 rational atoms on the line, the
-    disk or the circle, and a degree."""
+def rational_atoms(draw):
+    """The line, the disk or the circle, and 1 to 5 rational atoms on it
+    with integer weights."""
     kind = draw(st.sampled_from(["line", "disk", "circle"]))
     pres = {"line": line, "disk": disk, "circle": circle}[kind]()
     atoms = []
@@ -155,7 +155,15 @@ def rational_atomic_states(draw):
             t = draw(small_rationals)
             point = {"z": ComplexRational((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))}
         atoms.append((point, draw(st.integers(1, 4))))
-    degree = draw(st.integers(0, {"line": 6, "disk": 2, "circle": 4}[kind]))
+    return pres, atoms
+
+
+@st.composite
+def rational_atomic_states(draw):
+    """An exact atomic state with 1 to 5 rational atoms on the line, the
+    disk or the circle, and a degree."""
+    pres, atoms = draw(rational_atoms())
+    degree = draw(st.integers(0, {"Line": 6, "Disk": 2, "Circle": 4}[pres.name]))
     return gl.atomic_state(pres, atoms, rescale=True), degree
 
 
@@ -163,6 +171,29 @@ def rational_atomic_states(draw):
 def test_rational_atoms_match_per_entry_construction(case):
     state, degree = case
     check_against_per_entry(state, degree)
+
+
+# ---------------------------------------------------------------------------
+# the exact functional against evaluation at each atom
+# ---------------------------------------------------------------------------
+
+@given(rational_atoms(), st.randoms(use_true_random=False))
+def test_exact_functional_is_the_weighted_point_evaluation(case, rng):
+    # expect and moment read E off the state's own moment batch; the oracle
+    # evaluates the normal form at each atom by gelfand_eval and weighs it.
+    # On the circle the raw monomial may reduce, z*adj(z) being 1
+    pres, atoms = case
+    state = gl.atomic_state(pres, atoms, rescale=True)
+    total = sum(w for _, w in atoms)
+    chars = [(gl.validate_character(pres, point), Fraction(w, total)) for point, w in atoms]
+
+    def oracle(a):
+        return sum((gl.gelfand_eval(a, char) * w for char, w in chars), ComplexRational(0))
+
+    a = rand_poly(pres, rng, max_degree=6)
+    assert state.expect(a) == oracle(a)
+    mono = tuple(rng.randint(0, 6) for _ in pres.generators)
+    assert state.moment(mono) == oracle(pres.poly({mono: ONE}))
 
 
 def test_exact_models_load_no_numpy():

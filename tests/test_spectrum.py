@@ -280,6 +280,20 @@ def test_is_nilpotent():
     assert gl.is_nilpotent(a) == (True, 3)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_nilpotency_bound_below_one_is_rejected(bound):
+    # no power would be tried, so "not nilpotent up to the bound" says nothing
+    a = nil().gen("x")
+    with pytest.raises(AlgebraError, match=f"bound must be at least 1, not {bound}"):
+        gl.is_nilpotent(a, bound)
+    box = gl.parse_box("x = [-1, 1]", line())
+    with pytest.raises(AlgebraError, match="bound must be at least 1"):
+        gl.radical_vanishing_check(line().gen("x"), BoxSampler(box, seed=1), count=4,
+                                   nilpotent_bound=bound)
+    assert gl.is_nilpotent(a, 1) == (False, None)
+    assert gl.is_nilpotent(a, 2) == (True, 2)
+
+
 def test_nilpotency_search_caps_raise_at_once():
     a = gl.parse_poly("x + 1", line())
     with pytest.raises(UnsupportedError, match="nilpotency bound 257"):

@@ -263,6 +263,14 @@ def test_gram_degree_zero():
     assert model.null_space == ()
 
 
+def test_negative_degree_is_a_validation_error():
+    # an unusable request, not a mathematical rejection: AlgebraError, and
+    # no GnsError, so the CLI exits 1 rather than 2
+    with pytest.raises(AlgebraError, match="degree must be nonnegative") as exc:
+        gl.gram_matrix(gl.gaussian_state(line()), -1)
+    assert not isinstance(exc.value, GnsError)
+
+
 def test_model_queries_need_completion():
     st = gl.gaussian_state(line())
     model = gl.gram_matrix(st, 2)
@@ -931,7 +939,7 @@ def _moment_rule_state(moments, exact):
     that the public constructors make."""
     value = ComplexRational if exact else complex
     return gl.State("analytic", line(), exact, False, "moment rule",
-                    lambda a: None, lambda mono: value(*moments[mono[0]]))
+                    lambda a: None, lambda keys: [value(*moments[mono[0]]) for mono in keys])
 
 
 @pytest.mark.parametrize("moments", [
@@ -977,7 +985,7 @@ def test_gram_matrix_checks_free_pairs(adj_z, hermitian, exact, message):
     value = ComplexRational if exact else complex
     moments = {(0, 0): (1,), (1, 0): (0, 1), (0, 1): adj_z}
     st = gl.State("analytic", disk(), exact, False, "moment rule", lambda a: None,
-                  lambda mono: value(*moments.get(mono, (0,))))
+                  lambda keys: [value(*moments.get(mono, (0,))) for mono in keys])
     if hermitian:
         assert len(gl.gram_matrix(st, 1).basis) == 3
     else:
