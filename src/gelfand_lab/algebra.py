@@ -713,9 +713,10 @@ class StarPoly:
     __slots__ = ("pres", "int_form")
 
     def __init__(self, pres: StarPresentation, terms: Terms) -> None:
-        """The element whose normal form is ``terms``; see ``pres.poly``."""
+        """The element sum c * m over ``terms``, (m, c) pairs with distinct
+        monomials in any order, in normal form as ``pres.poly`` gives it."""
         object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "int_form", _int_table(terms))
+        object.__setattr__(self, "int_form", pres._normal(_int_table(terms)).int_form)
 
     @classmethod
     def _from_ints(cls, pres: StarPresentation, form: IntForm) -> "StarPoly":

@@ -256,16 +256,16 @@ def _extended_max(re: list[int], im: list[int], axes: int, resolution: int) -> i
                for c in _extend(columns, resolution, add, sub))
 
 
-def _extend(values: Sequence, resolution: int, add: Callable = operator.add,
+def _extend(values: Sequence, resolution: int, add: Callable | None = None,
             sub: Callable = operator.sub) -> Iterator:
     """The values at 0, 1, ..., resolution - 1 of the polynomial of degree
     below len(values) that takes ``values`` at 0, 1, ....
 
     Forward differences: the leading differences of ``values`` are each the
     first entry of one lazy ``itertools.accumulate``, stacked so that every
-    further value costs len(values) - 1 additions at C level.  With ``add``
-    and ``sub`` elementwise on lists, the values are slices extended
-    together.
+    further value costs len(values) - 1 additions at C level, by
+    ``accumulate``'s own addition on scalars.  With ``add`` and ``sub``
+    elementwise on lists, the values are slices extended together.
     """
     firsts = []
     for _ in range(len(values) - 1):

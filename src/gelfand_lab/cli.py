@@ -356,8 +356,9 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
         degree=args.degree, basis=basis_polys, gram=matrix_json(model.gram),
         rank=model.rank(), null_space=null_section,
         orthonormal=matrix_json(model.orthonormal))
-    ops = args.op or [pres.generators[gi]
-                      for gi, _ in spectrum.axis_layout(pres)]
+    # a repeated --op is reported once, in first-seen order
+    ops = dict.fromkeys(args.op or [pres.generators[gi]
+                                    for gi, _ in spectrum.axis_layout(pres)])
     operators = {}
     lines = [f"basis ({len(model.basis)}): " + ", ".join(basis_polys),
              f"rank {model.rank()}, null dimension {len(model.null_space)}"]

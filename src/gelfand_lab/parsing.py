@@ -1,9 +1,11 @@
 """Concrete syntax: presentations, polynomials, characters, boxes, states.
 
 One tokenizer and one recursive-descent parser cover every textual input the
-package accepts.  Diagnostics carry 1-based line:column positions.  The
-polynomial formatter emits a canonical spelling (descending graded-lex terms,
-explicit coefficients, parenthesized complex literals) chosen so that
+package accepts.  Diagnostics carry 1-based line:column positions.  An input
+is read to its end before a character is validated or a box, state or
+morphism is built from what was read.  The polynomial formatter emits a
+canonical spelling (descending graded-lex terms, explicit coefficients,
+parenthesized complex literals) chosen so that
 ``parse_poly(format_poly(p)) == p`` holds exactly for every element.
 
 Grammar sketch::
@@ -48,7 +50,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from . import algebra, spectrum, states
 from .algebra import MODE_ALGEBRA, MODE_STAR, Monomial, RawTable, StarPoly, StarPresentation
@@ -199,7 +201,7 @@ class Parser:
         name = self.expect("ident").text
         self.expect("punct", ";")
 
-        declared: list[tuple[str, str, Token]] = []
+        adjoint: dict[str, int | None] = {}  # generator name -> partner index
         relation_spans: list[tuple[int, int]] = []
         while not self.at("eof"):
             if self.at_word("generator"):
@@ -217,7 +219,18 @@ class Parser:
                                "algebra has no involution", kind_tok)
                 self.expect("punct", ";")
                 for tok in group:
-                    declared.append((tok.text, kind_tok.text, tok))
+                    gname, base = tok.text, len(adjoint)
+                    if gname in adjoint:
+                        self.error(f"generator {gname!r} declared twice", tok)
+                    if gname == "adj":
+                        self.error("'adj' is reserved for the involution", tok)
+                    if mode == MODE_ALGEBRA:
+                        adjoint[gname] = None
+                    elif kind_tok.text == "selfadjoint":
+                        adjoint[gname] = base
+                    else:
+                        adjoint[gname] = base + 1
+                        adjoint[f"adj({gname})"] = base
             elif self.at_word("relation"):
                 self.advance()
                 start = self.pos
@@ -230,29 +243,9 @@ class Parser:
             else:
                 self.error("expected 'generator' or 'relation'")
 
-        names: list[str] = []
-        adjoint: list[int | None] = []
-        seen: set[str] = set()
-        for gname, kind, tok in declared:
-            if gname in seen:
-                self.error(f"generator {gname!r} declared twice", tok)
-            if gname == "adj":
-                self.error("'adj' is reserved for the involution", tok)
-            seen.add(gname)
-            if mode == MODE_ALGEBRA:
-                names.append(gname)
-                adjoint.append(None)
-            elif kind == "selfadjoint":
-                names.append(gname)
-                adjoint.append(len(names) - 1)
-            else:
-                partner = f"adj({gname})"
-                base = len(names)
-                names.extend([gname, partner])
-                adjoint.extend([base + 1, base])
-
         # relations are read as elements of the relation-free presentation
-        free = StarPresentation.assemble(name, mode, names, adjoint, [])
+        names, partners = list(adjoint), list(adjoint.values())
+        free = StarPresentation.assemble(name, mode, names, partners, [])
         tables: list[RawTable] = []
         for start, end in relation_spans:
             sub = Parser(self.tokens[start:end] + [self.tokens[-1]])
@@ -260,7 +253,7 @@ class Parser:
             sub.expect_done()
             tables.append(relation.as_table())
 
-        return StarPresentation.assemble(name, mode, names, adjoint, tables)
+        return StarPresentation.assemble(name, mode, names, partners, tables)
 
     # ── polynomial expressions ───────────────────────────────────────
 
@@ -436,15 +429,13 @@ class Parser:
                        "point value", self.tokens[start])
             raise AssertionError  # unreachable
 
-    def character(self, pres: StarPresentation, tolerance: float) -> spectrum.Character:
+    def character(self, pres: StarPresentation) -> dict[str, Value]:
         self.accept("ident", "char")
-        if self.accept("punct", "{"):
-            values = self.assignment_entries(pres, closing="}")
-            self.expect("punct", "}")
-        else:
-            values = self.assignment_entries(pres, closing=None)
-        # validate_character fills missing partner values itself
-        return spectrum.validate_character(pres, values, tolerance=tolerance)
+        if not self.accept("punct", "{"):
+            return self.assignment_entries(pres, closing=None)
+        values = self.assignment_entries(pres, closing="}")
+        self.expect("punct", "}")
+        return values
 
     # ── boxes ────────────────────────────────────────────────────────
 
@@ -463,7 +454,7 @@ class Parser:
                 return spans
             self.advance()
 
-    def box(self, pres: StarPresentation) -> spectrum.CompactBox:
+    def box(self, pres: StarPresentation) -> dict[str, list[tuple[Fraction, Fraction]]]:
         self.accept("ident", "box")
         braced = bool(self.accept("punct", "{"))
         by_gen: dict[str, list[tuple[Fraction, Fraction]]] = {}
@@ -482,11 +473,12 @@ class Parser:
                 break
         if braced:
             self.expect("punct", "}")
-        return spectrum.CompactBox.for_generators(pres, by_gen)
+        return by_gen
 
     # ── states ───────────────────────────────────────────────────────
 
-    def state(self, pres: StarPresentation) -> states.State:
+    def state(self, pres: StarPresentation) -> Callable[[], states.State]:
+        """The builder of the state the text describes."""
         self.accept("ident", "state")
         tok = self.expect("ident")
         kind = tok.text
@@ -505,21 +497,22 @@ class Parser:
                 if not self.accept("punct", ";"):
                     break
             self.expect("punct", "}")
-            return states.atomic_state(pres, atoms)
+            return lambda: states.atomic_state(pres, atoms)
         if kind == "gaussian":
             generator: str | None = None
             if self.accept("punct", "("):
                 generator = self.expect("ident").text
                 self.expect("punct", ")")
-            return states.gaussian_state(pres, generator)
+            return lambda: states.gaussian_state(pres, generator)
         if kind == "density":
             density = self.expect("string").text
             self.expect("ident", "on")
             intervals = self.intervals()
             self.expect("ident", "order")
             order = self.nat()
-            box = spectrum.CompactBox.from_intervals(pres, intervals)
-            return states.quadrature_state(pres, box, density, order)
+            return lambda: states.quadrature_state(
+                pres, spectrum.CompactBox.from_intervals(pres, intervals),
+                density, order)
         self.error(f"unknown state kind {kind!r}; expected atomic, gaussian, "
                    f"or density", tok)
         raise AssertionError  # unreachable
@@ -527,7 +520,7 @@ class Parser:
     # ── morphisms ────────────────────────────────────────────────────
 
     def morphism(self, source: StarPresentation,
-                 target: StarPresentation) -> algebra.Morphism:
+                 target: StarPresentation) -> dict[str, StarPoly]:
         images: dict[str, StarPoly] = {}
         while not self.at("eof"):
             tok = self.peek()
@@ -538,15 +531,14 @@ class Parser:
             images[name] = self.poly(target)
             if not self.accept("punct", ";"):
                 break
-        star = source.is_star and target.is_star
-        if star:
+        if source.is_star and target.is_star:
             # partner images may be omitted; the involution forces them
             for i, g in enumerate(source.generators):
                 j = source.partner(i)
                 pg = source.generators[j]
                 if g in images and pg not in images:
                     images[pg] = images[g].involute()
-        return algebra.Morphism.create(source, target, images, star=star)
+        return images
 
 
 # ── public entry points ──────────────────────────────────────────────────
@@ -571,20 +563,24 @@ def parse_poly(text: str, pres: StarPresentation) -> StarPoly:
 
 def parse_character(text: str, pres: StarPresentation,
                     tolerance: float = spectrum.FLOAT_TOLERANCE) -> spectrum.Character:
-    return _parse(text, Parser.character, pres, tolerance)
+    values = _parse(text, Parser.character, pres)
+    # validate_character fills missing partner values itself
+    return spectrum.validate_character(pres, values, tolerance=tolerance)
 
 
 def parse_box(text: str, pres: StarPresentation) -> spectrum.CompactBox:
-    return _parse(text, Parser.box, pres)
+    return spectrum.CompactBox.for_generators(pres, _parse(text, Parser.box, pres))
 
 
 def parse_state(text: str, pres: StarPresentation) -> states.State:
-    return _parse(text, Parser.state, pres)
+    return _parse(text, Parser.state, pres)()
 
 
 def parse_morphism(text: str, source: StarPresentation,
                    target: StarPresentation) -> algebra.Morphism:
-    return _parse(text, Parser.morphism, source, target)
+    images = _parse(text, Parser.morphism, source, target)
+    return algebra.Morphism.create(source, target, images,
+                                   star=source.is_star and target.is_star)
 
 
 # ── formatting ───────────────────────────────────────────────────────────
@@ -600,32 +596,22 @@ def format_monomial(pres: StarPresentation, mono: Monomial) -> str:
 
 
 def format_terms(pres: StarPresentation, terms) -> str:
+    """Terms with explicit coefficients: a real one signs the term and
+    shows its magnitude, a complex one is its parenthesized literal, and
+    a coefficient that reads 1 is left off a monomial."""
     if not terms:
         return "0"
     unit = (0,) * len(pres.generators)
-    rendered: list[str] = []
-    for position, (mono, coeff) in enumerate(terms):
-        if mono == unit:
-            if coeff.is_real():
-                negative = coeff.re < 0
-                body = rational_literal(abs(coeff.re))
-            else:
-                negative = False
-                body = coeff.literal()
-        else:
+    parts = []
+    for mono, coeff in terms:
+        real = coeff.is_real()
+        body = rational_literal(abs(coeff.re)) if real else coeff.literal()
+        if mono != unit:
             monomial = format_monomial(pres, mono)
-            if coeff.is_real():
-                negative = coeff.re < 0
-                mag = abs(coeff.re)
-                body = monomial if mag == 1 else f"{rational_literal(mag)}*{monomial}"
-            else:
-                negative = False
-                body = f"{coeff.literal()}*{monomial}"
-        if position == 0:
-            rendered.append(f"-{body}" if negative else body)
-        else:
-            rendered.append(f" - {body}" if negative else f" + {body}")
-    return "".join(rendered)
+            body = monomial if body == "1" else f"{body}*{monomial}"
+        parts.append(f" {'-' if real and coeff.re < 0 else '+'} {body}")
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def format_poly(p: StarPoly) -> str:

@@ -51,6 +51,13 @@ MAX_GNS_BASIS = 160
 # above 5e12 on a 2-vCPU VM, so a run at the cap ends in about 7 to 12 s;
 # the Gaussian state at degree 159 counts 4.9e12.
 MAX_GNS_WORK = 2**43
+# Largest Gauss-Legendre order of a quadrature state, and largest node count
+# order^axes of its tensor rule.  leggauss(2048) takes 0.7 to 1.7 s and
+# 96 MB peak RSS (4.2 s and 290 MB at 4096).  At the caps, `gns` at the
+# largest basis MAX_GNS_BASIS admits took 1.5 to 4.5 s on one to six axes
+# on a 2-vCPU VM, each under 200 MB peak RSS.
+MAX_QUADRATURE_ORDER = 2048
+MAX_QUADRATURE_NODES = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +234,9 @@ def quadrature_state(pres: StarPresentation, box: CompactBox,
         raise StateError("quadrature box lives over the wrong presentation")
     if order < 1:
         raise StateError("quadrature order must be at least 1")
+    check_cap(f"quadrature order {order}", order, MAX_QUADRATURE_ORDER)
+    check_cap(f"quadrature rule of {order}^{len(box.intervals)} nodes",
+              order ** len(box.intervals), MAX_QUADRATURE_NODES)
     if isinstance(density, str):
         if density != "uniform":
             raise StateError(f"unknown density {density!r}; the catalog has "

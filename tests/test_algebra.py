@@ -542,6 +542,18 @@ def test_poly_basics():
         x + disk().gen("z")
 
 
+def test_star_poly_from_terms_is_brought_to_normal_form():
+    one = ComplexRational(1)
+    c = circle()
+    z_adjz = gl.StarPoly(c, (((1, 1), one),))  # z*adj(z) = 1 on the circle
+    assert z_adjz == c.one() and gl.format_poly(z_adjz) == "1"
+    ascending = gl.StarPoly(line(), (((0,), one), ((1,), one)))
+    assert ascending == line().gen("x") + 1
+    assert ascending.degree() == 1 and gl.format_poly(ascending) == "x + 1"
+    cancelled = gl.StarPoly(line(), (((2,), ComplexRational(0)),))
+    assert cancelled.is_zero() and cancelled.degree() == -1
+
+
 # ---------------------------------------------------------------------------
 # the free / underlying adjunction
 # ---------------------------------------------------------------------------

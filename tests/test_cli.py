@@ -506,6 +506,14 @@ def test_gns_hermite_golden(files, capsys):
             assert matrix[i][j][0] == pytest.approx(expected_entry, abs=1e-10)
 
 
+def test_gns_reports_a_repeated_op_once(files, capsys):
+    argv = ["gns", files["line"], "--state", "gaussian", "--degree", "2"]
+    _, once, _ = run(capsys, *argv, "--op", "x")
+    code, twice, _ = run(capsys, *argv, "--op", "x", "--op", "x")
+    assert code == 0 and twice == once
+    assert twice.count("multiplication by x:") == 1
+
+
 def test_gns_two_point_null_section(files, capsys):
     code, doc, _ = run_json(
         capsys, "gns", files["line"],

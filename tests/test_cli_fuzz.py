@@ -5,6 +5,8 @@ from a small valid pool or from a hostile one: empty, huge, negative,
 Unicode digits, oversized literals, malformed text.  ``cli.main`` runs in
 process against presentation files in a temporary directory; argparse ends
 a usage error with SystemExit, which counts as the exit code it carries.
+A second test appends a word to each valid text value and expects exit 1
+with a parse error at that word, before the value is checked or built.
 
 This file imports neither numpy nor ``tests/helpers``, so it also runs
 where numpy is not installed.  There a float command must exit 1 with an
@@ -15,6 +17,7 @@ other import failure would escape ``main``.
 import argparse
 import contextlib
 import io
+import re
 from datetime import timedelta
 
 import pytest
@@ -58,7 +61,8 @@ WORLDS = {
         "state": ["gaussian", "state gaussian(x)",
                   "state atomic { (x = 1/2) : 1/2 ; (x = -1) : 1/2 }",
                   "state atomic { (x = 0.5) : 1 }",
-                  'state density "uniform" on [0, 1] order 3'],
+                  'state density "uniform" on [0, 1] order 3',
+                  'state density "uniform" on [0, 1] order 100000'],
         "op": ["x"], "pair": ["x"],
     },
     "circle": {
@@ -70,7 +74,8 @@ WORLDS = {
         "box": ["z = [-1, 1] x [-1, 1]", "z = [0, 1/2] x [0, 1]"],
         "state": ["state atomic { (z = (3/5+4/5i)) : 1/2 ; (z = -1) : 1/2 }",
                   "state atomic { (z = 1) : 1 }",
-                  'state density "uniform" on [-1, 1] x [0, 1] order 2'],
+                  'state density "uniform" on [-1, 1] x [0, 1] order 2',
+                  'state density "uniform" on [-1, 1] x [0, 1] order 1000'],
         "op": ["z", "adj(z)"], "pair": ["z"],
     },
     "sphere": {
@@ -194,3 +199,42 @@ def test_cli_exits_zero_one_or_two(fuzz_dir, argv):
     assert "Traceback" not in err
     if code == 1 and "numpy" in err:
         assert "this float computation needs numpy" in err
+
+
+def _junk_cases():
+    """(argv, flag, value): each valid char, box, state, map and poly of
+    WORLDS as the last flag of a command that reads it."""
+    for world in WORLDS.values():
+        char, poly = world["char"][0], world["poly"][0]
+        for pres in world["presentation"]:
+            yield from ((["spectrum-check", pres], "--char", v) for v in world["char"])
+            yield from ((["seminorm", pres, f"--poly={poly}"], "--box", v)
+                        for v in world["box"])
+            yield from ((["state-check", pres], "--state", v) for v in world["state"])
+            yield from ((["eval", pres, f"--char={char}"], "--poly", v)
+                        for v in world["poly"])
+        for source in world["source"]:
+            yield from ((["pushforward", f"--source={source}",
+                          f"--target={world['target'][0]}", f"--char={char}"], "--map", v)
+                        for v in world["map"])
+
+
+def test_trailing_input_is_reported_before_anything_is_built(fuzz_dir):
+    # A value read to its end is then checked or built; the same value with
+    # " junk" after it is a parse error there, whatever the value alone
+    # would have built or rejected, unless the value alone is a parse error
+    # earlier in the text.
+    trailing = 0
+    for argv, flag, value in _junk_cases():
+        argv = [_resolve(token, fuzz_dir) for token in argv]
+        _, _, alone = run(argv + [f"{flag}={value}"])
+        code, out, err = run(argv + [f"{flag}={value} junk"])
+        assert code == 1 and out == "", (argv, flag, value, code, err)
+        if re.match(r"error: \d+:\d+: ", alone):
+            assert err == alone, (argv, flag, value)
+        else:
+            column = len(value) + 2
+            assert err == f"error: 1:{column}: unexpected trailing input 'junk'\n", \
+                (argv, flag, value, alone)
+            trailing += 1
+    assert trailing >= 60

@@ -7,7 +7,6 @@ raises ImportError.  This file imports neither numpy nor ``tests/helpers``
 (which loads the package), so it also runs where numpy is not installed.
 """
 
-import importlib.util
 import subprocess
 import sys
 
@@ -58,7 +57,9 @@ FLOAT = {
 }
 
 BLOCKED = 'import sys; sys.modules["numpy"] = None; '
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
+# numpy counts as present only when it imports, as the program decides
+HAS_NUMPY = subprocess.run([sys.executable, "-c", "import numpy"],
+                           capture_output=True).returncode == 0
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +118,19 @@ def test_float_command_without_numpy_exits_one(workdir, name):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and "needs numpy" in proc.stderr
+
+
+@pytest.mark.parametrize("prefix", ["", BLOCKED], ids=["numpy", "blocked"])
+@pytest.mark.parametrize("argv, what", [
+    (["line.star", "--state", 'state density "uniform" on [0, 1] order 100000'],
+     "quadrature order 100000 exceeds the cap of 2048"),
+    (["disk.star", "--state", 'state density "uniform" on [0, 1] x [0, 1] order 100'],
+     "quadrature rule of 100^2 nodes exceeds the cap of 4096"),
+], ids=["order", "nodes"])
+def test_quadrature_caps_come_before_numpy(workdir, prefix, argv, what):
+    # leggauss(100000) would ask numpy for 74.5 GiB
+    argv = ["state-check", *argv]
+    proc = child(prefix + f"import sys, gelfand_lab.cli; "
+                 f"sys.exit(gelfand_lab.cli.main({argv!r}))", workdir)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {what}\n"

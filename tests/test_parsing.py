@@ -15,7 +15,7 @@ from gelfand_lab.algebra import (normalize_table, raw_add_into, raw_involute,
 from gelfand_lab.cli import (canonical_box, canonical_morphism,
                              canonical_presentation)
 from gelfand_lab.errors import (AlgebraError, CharacterError, GelfandError,
-                                 ParseError, StateError)
+                                 MorphismError, ParseError, StateError)
 from gelfand_lab.parsing import MAX_LITERAL_DIGITS
 from gelfand_lab.scalars import ONE
 
@@ -57,6 +57,38 @@ def test_presentation_diagnostics_carry_positions():
             "algebra A ; generator x : selfadjoint ; relation x^2")
     with pytest.raises(ParseError):
         gl.parse_presentation("algebra A ; generator x : spooky ;")
+
+
+def test_presentation_reports_its_first_error():
+    # each generator group is checked as it is read, so a duplicate comes
+    # before the junk after it
+    with pytest.raises(ParseError, match="^1:44: generator 'x' declared twice"):
+        gl.parse_presentation(
+            "algebra A ; generator x : free ; generator x : free ; junk")
+
+
+@pytest.mark.parametrize("parse, text, pres", [
+    (gl.parse_character, "z = 1/2 junk", circle),
+    (gl.parse_box, "x = [0, 1] junk", nil),
+    (gl.parse_state, "state atomic { (x = 1) : 1/3 } trailing", line),
+    (gl.parse_state, "state atomic { (x = 1) : 1 } trailing", nil),
+    (gl.parse_state, 'state density "uniform" on [0, 1] order 100000 junk', line),
+    (gl.parse_state, "state gaussian(q) junk", line),
+], ids=["invalid-character", "box-over-relations", "weights", "invalid-atom",
+        "order-past-cap", "unknown-gaussian-generator"])
+def test_trailing_input_comes_before_any_check(parse, text, pres):
+    # the value alone is rejected when it is built; read to its end first,
+    # its text is a parse error at the trailing word
+    column = text.rindex(" ") + 2
+    with pytest.raises(ParseError, match=f"^1:{column}: unexpected trailing input"):
+        parse(text, pres())
+
+
+def test_trailing_input_comes_before_the_morphism_check():
+    with pytest.raises(ParseError, match="^1:8: unexpected trailing input 'junk'"):
+        gl.parse_morphism("z -> x junk", circle(), line())
+    with pytest.raises(MorphismError, match="does not kill relation 0"):
+        gl.parse_morphism("z -> x", circle(), line())
 
 
 def test_adj_resolution_over_underlying_names():

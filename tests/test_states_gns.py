@@ -164,6 +164,19 @@ def test_quadrature_density_normalization():
         gl.quadrature_state(p, box, "triangular", order=4)
 
 
+def test_quadrature_caps():
+    line_box = gl.parse_box("x = [0, 1]", line())
+    order = gl.states.MAX_QUADRATURE_ORDER
+    with pytest.raises(UnsupportedError, match=f"order {order + 1} exceeds the cap of {order}"):
+        gl.quadrature_state(line(), line_box, "uniform", order + 1)
+    disk_box = gl.parse_box("z = [0, 1] x [0, 1]", disk())
+    side = math.isqrt(gl.states.MAX_QUADRATURE_NODES)
+    at_cap = gl.quadrature_state(disk(), disk_box, "uniform", side)
+    assert gl.expect(at_cap, disk().one()).real == pytest.approx(1.0)
+    with pytest.raises(UnsupportedError, match=f"rule of {side + 1}\\^2 nodes exceeds"):
+        gl.quadrature_state(disk(), disk_box, "uniform", side + 1)
+
+
 def test_state_presentation_guards():
     st = gl.gaussian_state(line())
     with pytest.raises(StateError):
