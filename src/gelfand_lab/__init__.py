@@ -7,8 +7,8 @@ approximation, and the GNS construction from states.
 """
 
 from .algebra import (MODE_ALGEBRA, MODE_STAR, Morphism, StarPoly,
-                      StarPresentation, compose, extend_hom, free_star,
-                      identity_morphism, is_star_hom, reinterpret,
+                      StarPresentation, compose, extend_hom, format_poly,
+                      free_star, identity_morphism, is_star_hom, reinterpret,
                       restrict_hom, underlying, underlying_morphism,
                       verify_rewrite_trace)
 from .approx import (BernsteinResult, SeminormEstimate, TargetFunction,
@@ -18,9 +18,9 @@ from .approx import (BernsteinResult, SeminormEstimate, TargetFunction,
 from .errors import (AlgebraError, CharacterError, GelfandError, GnsError,
                      MorphismError, ParseError, PresentationError,
                      RewriteBudgetError, StateError, UnsupportedError)
-from .parsing import (format_character, format_poly, parse_box,
-                      parse_character, parse_morphism, parse_poly,
-                      parse_presentation, parse_state)
+from .parsing import (format_character, parse_box, parse_character,
+                      parse_morphism, parse_poly, parse_presentation,
+                      parse_state)
 from .scalars import ComplexRational
 from .spectrum import (BoxSampler, Character, CompactBox, CompactnessReport,
                        GridSampler, RadicalReport, SampleSet, axis_layout,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import (
     AlgebraError,
@@ -31,7 +31,7 @@ from .errors import (
     check_cap,
 )
 from .scalars import (ONE, ZERO, ComplexRational, ScalarLike, from_numerators,
-                      power, to_numerators)
+                      power, rational_literal, to_numerators)
 
 Monomial = tuple[int, ...]
 Terms = tuple[tuple[Monomial, ComplexRational], ...]
@@ -45,6 +45,7 @@ IntForm = tuple[int, IntTable]
 CodeTable = dict[int, tuple[int, int]]
 CodeTerms = tuple[tuple[int, tuple[int, int]], ...]
 CodeForm = tuple[int, CodeTable]
+V = TypeVar("V")
 
 MODE_ALGEBRA = "algebra"
 MODE_STAR = "star-algebra"
@@ -608,6 +609,19 @@ class StarPresentation:
             return "plain"
         return "selfadjoint" if a == index else "free"
 
+    def with_partners(self, given: Mapping[str, V], adjoint: Callable[[V], V]) -> dict[str, V]:
+        """``given`` plus ``adjoint(value)`` for each free partner it omits.
+
+        The involution fixes the value on adj(g) once the value on g is
+        known: a character's by conjugation, a *-morphism's image by
+        involution.  Self-adjoint and algebra-mode generators gain nothing.
+        """
+        out = dict(given)
+        for g, a in zip(self.generators, self.adjoint):
+            if a is not None and g in given and self.generators[a] not in given:
+                out[self.generators[a]] = adjoint(given[g])
+        return out
+
     def rules(self) -> tuple[RewriteRule, ...]:
         return self._rules
 
@@ -675,7 +689,6 @@ class StarPresentation:
 
     def describe(self) -> dict:
         """Plain-data summary used by the command line reports."""
-        from .parsing import format_terms  # local import to avoid a cycle
         gens = []
         for i, g in enumerate(self.generators):
             entry: dict = {"name": g, "kind": self.generator_kind(i)}
@@ -713,10 +726,13 @@ class StarPoly:
     __slots__ = ("pres", "int_form")
 
     def __init__(self, pres: StarPresentation, terms: Terms) -> None:
-        """The element sum c * m over ``terms``, (m, c) pairs with distinct
-        monomials in any order, in normal form as ``pres.poly`` gives it."""
+        """The element sum c * m over ``terms``, (m, c) pairs in any order,
+        a repeated monomial's coefficients summed, in normal form as
+        ``pres.poly`` gives it."""
+        table: RawTable = {}
+        raw_add_into(table, terms)
         object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "int_form", pres._normal(_int_table(terms)).int_form)
+        object.__setattr__(self, "int_form", pres.poly(table).int_form)
 
     @classmethod
     def _from_ints(cls, pres: StarPresentation, form: IntForm) -> "StarPoly":
@@ -849,11 +865,48 @@ class StarPoly:
         return hash((self.pres, den, tuple(table.items())))
 
     def __str__(self) -> str:
-        from .parsing import format_poly
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"<StarPoly {self}>"
+
+
+# ---------------------------------------------------------------------------
+# spelling: descending graded-lex terms, explicit coefficients and
+# parenthesized complex literals, so parse_poly(format_poly(p)) == p
+# ---------------------------------------------------------------------------
+
+def format_monomial(pres: StarPresentation, mono: Monomial) -> str:
+    parts = []
+    for name, e in zip(pres.generators, mono):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def format_terms(pres: StarPresentation, terms) -> str:
+    """Terms with explicit coefficients: a real one signs the term and
+    shows its magnitude, a complex one is its parenthesized literal, and
+    a coefficient that reads 1 is left off a monomial."""
+    if not terms:
+        return "0"
+    unit = (0,) * len(pres.generators)
+    parts = []
+    for mono, coeff in terms:
+        real = coeff.is_real()
+        body = rational_literal(abs(coeff.re)) if real else coeff.literal()
+        if mono != unit:
+            monomial = format_monomial(pres, mono)
+            body = monomial if body == "1" else f"{body}*{monomial}"
+        parts.append(f" {'-' if real and coeff.re < 0 else '+'} {body}")
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def format_poly(p: StarPoly) -> str:
+    return format_terms(p.pres, p.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +933,8 @@ class Morphism:
                images: Union[Mapping[str, StarPoly], Sequence[StarPoly]],
                star: bool = False) -> "Morphism":
         if isinstance(images, Mapping):
+            if star and source.is_star and target.is_star:
+                images = source.with_partners(images, StarPoly.involute)
             missing = [g for g in source.generators if g not in images]
             if missing:
                 raise MorphismError(f"no image for generator {missing[0]!r}")
@@ -1036,7 +1091,7 @@ def extend_hom(f: Morphism, target: StarPresentation) -> Morphism:
     *-presentation B, produce the unique *-morphism from free_star(A) to B
     that restricts to f on the original generators.  The partner images are
     forced: adj(g) must go to the involute of f(g), so there is nothing to
-    choose.
+    choose, and ``Morphism.create`` fills them.
     """
     if f.source.is_star:
         raise MorphismError("extension source must be an algebra-mode presentation")
@@ -1045,13 +1100,8 @@ def extend_hom(f: Morphism, target: StarPresentation) -> Morphism:
     if f.target != underlying(target):
         raise MorphismError(
             "morphism target is not the underlying algebra of the extension target")
-    fa = free_star(f.source)
-    images: list[StarPoly] = []
-    for img in f.images:
-        moved = reinterpret(img, target)
-        images.append(moved)
-        images.append(moved.involute())
-    return Morphism.create(fa, target, images, star=True)
+    images = {g: reinterpret(img, target) for g, img in zip(f.source.generators, f.images)}
+    return Morphism.create(free_star(f.source), target, images, star=True)
 
 
 def restrict_hom(g: Morphism, source: StarPresentation) -> Morphism:

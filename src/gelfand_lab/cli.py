@@ -27,12 +27,13 @@ import sys
 from typing import Sequence
 
 from . import approx, spectrum, states
-from .algebra import Morphism, StarPresentation, free_star, underlying
+from .algebra import (Morphism, StarPresentation, format_poly, format_terms,
+                      free_star, underlying)
 from .errors import (CharacterError, GelfandError, GnsError, ParseError,
                      require_numpy)
-from .parsing import (format_character, format_poly, format_terms, parse_box,
-                      parse_character, parse_morphism, parse_poly,
-                      parse_presentation, parse_state)
+from .parsing import (format_character, parse_box, parse_character,
+                      parse_morphism, parse_poly, parse_presentation,
+                      parse_state)
 from .scalars import ComplexRational, rational_literal
 from .spectrum import Character, CompactBox, format_value
 
@@ -227,13 +228,13 @@ def cmd_nilpotent(args) -> tuple[dict, list[str], int]:
     if args.box is None:
         nil, exponent = spectrum.is_nilpotent(poly, bound=args.bound)
     else:
-        # the radical check runs the same nilpotency search; read it there
+        # the radical check runs the same nilpotency search; read it there.
+        # BoxSampler characters are exact, so no tolerance applies
         box = parse_box(args.box, pres)
         echo["box"] = canonical_box(box)
         sampler = spectrum.BoxSampler(box, seed=args.seed)
         radical = spectrum.radical_vanishing_check(
-            poly, sampler, count=args.samples, tolerance=args.tolerance,
-            nilpotent_bound=args.bound)
+            poly, sampler, count=args.samples, nilpotent_bound=args.bound)
         nil, exponent = radical.nilpotent, radical.exponent
     lines = [f"nilpotent: {str(nil).lower()}"
              + (f" (exponent {exponent})" if nil else f" (bound {args.bound})")]
@@ -348,13 +349,11 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
     pres, _, model, report = _load_model(args)
     basis_polys = [format_poly(model.basis_poly(i))
                    for i in range(len(model.basis))]
-    if model.exact:
-        null_section: object = [format_poly(p) for p in model.null_polys()]
-    else:
-        null_section = matrix_json(model.null_space)
+    null_polys = [format_poly(p) for p in model.null_polys()] if model.exact else []
     report.update(
         degree=args.degree, basis=basis_polys, gram=matrix_json(model.gram),
-        rank=model.rank(), null_space=null_section,
+        rank=model.rank(),
+        null_space=null_polys if model.exact else matrix_json(model.null_space),
         orthonormal=matrix_json(model.orthonormal))
     # a repeated --op is reported once, in first-seen order
     ops = dict.fromkeys(args.op or [pres.generators[gi]
@@ -362,9 +361,8 @@ def cmd_gns(args) -> tuple[dict, list[str], int]:
     operators = {}
     lines = [f"basis ({len(model.basis)}): " + ", ".join(basis_polys),
              f"rank {model.rank()}, null dimension {len(model.null_space)}"]
-    if model.exact and model.null_space:
-        lines.append("null space: "
-                     + ", ".join(format_poly(p) for p in model.null_polys()))
+    if null_polys:
+        lines.append("null space: " + ", ".join(null_polys))
     np = require_numpy()
     for name in ops:
         matrix = states.multiplication_operator(model, name)
@@ -476,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample count (default %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="sampler seed (default %(default)s)")
-    _tol_arg(p)
 
     p = add("seminorm", cmd_seminorm,
             "bracket the sup-seminorm of a transform over a box")

@@ -3,9 +3,9 @@
 One tokenizer and one recursive-descent parser cover every textual input the
 package accepts.  Diagnostics carry 1-based line:column positions.  An input
 is read to its end before a character is validated or a box, state or
-morphism is built from what was read.  The polynomial formatter emits a
-canonical spelling (descending graded-lex terms, explicit coefficients,
-parenthesized complex literals) chosen so that
+morphism is built from what was read.  It reads the canonical spelling
+that ``algebra.format_poly`` writes (descending graded-lex terms, explicit
+coefficients, parenthesized complex literals), so
 ``parse_poly(format_poly(p)) == p`` holds exactly for every element.
 
 Grammar sketch::
@@ -53,9 +53,11 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
 from . import algebra, spectrum, states
-from .algebra import MODE_ALGEBRA, MODE_STAR, Monomial, RawTable, StarPoly, StarPresentation
+# the polynomial spelling lives in algebra; it is re-exported here
+from .algebra import (MODE_ALGEBRA, MODE_STAR, RawTable, StarPoly, StarPresentation,
+                      format_monomial, format_poly, format_terms)
 from .errors import AlgebraError, ParseError
-from .scalars import ComplexRational, rational_literal
+from .scalars import ComplexRational
 
 Value = Union[ComplexRational, complex]
 
@@ -531,13 +533,6 @@ class Parser:
             images[name] = self.poly(target)
             if not self.accept("punct", ";"):
                 break
-        if source.is_star and target.is_star:
-            # partner images may be omitted; the involution forces them
-            for i, g in enumerate(source.generators):
-                j = source.partner(i)
-                pg = source.generators[j]
-                if g in images and pg not in images:
-                    images[pg] = images[g].involute()
         return images
 
 
@@ -564,7 +559,6 @@ def parse_poly(text: str, pres: StarPresentation) -> StarPoly:
 def parse_character(text: str, pres: StarPresentation,
                     tolerance: float = spectrum.FLOAT_TOLERANCE) -> spectrum.Character:
     values = _parse(text, Parser.character, pres)
-    # validate_character fills missing partner values itself
     return spectrum.validate_character(pres, values, tolerance=tolerance)
 
 
@@ -584,39 +578,6 @@ def parse_morphism(text: str, source: StarPresentation,
 
 
 # ── formatting ───────────────────────────────────────────────────────────
-
-def format_monomial(pres: StarPresentation, mono: Monomial) -> str:
-    parts = []
-    for name, e in zip(pres.generators, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def format_terms(pres: StarPresentation, terms) -> str:
-    """Terms with explicit coefficients: a real one signs the term and
-    shows its magnitude, a complex one is its parenthesized literal, and
-    a coefficient that reads 1 is left off a monomial."""
-    if not terms:
-        return "0"
-    unit = (0,) * len(pres.generators)
-    parts = []
-    for mono, coeff in terms:
-        real = coeff.is_real()
-        body = rational_literal(abs(coeff.re)) if real else coeff.literal()
-        if mono != unit:
-            monomial = format_monomial(pres, mono)
-            body = monomial if body == "1" else f"{body}*{monomial}"
-        parts.append(f" {'-' if real and coeff.re < 0 else '+'} {body}")
-    text = "".join(parts)
-    return text[3:] if text[1] == "+" else "-" + text[3:]
-
-
-def format_poly(p: StarPoly) -> str:
-    return format_terms(p.pres, p.terms)
-
 
 def format_character(char: spectrum.Character) -> str:
     parts = [f"{g} = {spectrum.format_value(v)}"

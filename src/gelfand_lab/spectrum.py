@@ -19,10 +19,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller
 from typing import Iterator, Mapping, Sequence, Union
 
 from . import algebra
-from .algebra import Morphism, StarPoly, StarPresentation, Terms
+from .algebra import Morphism, StarPoly, StarPresentation, Terms, format_poly
 from .errors import AlgebraError, CharacterError, UnsupportedError, check_cap
 from .scalars import FLOAT_OVERFLOW, ComplexRational, sqrt_to_float, to_float
 
@@ -106,14 +107,7 @@ def validate_character(pres: StarPresentation, assignment: Mapping[str, Value],
     if unknown:
         raise CharacterError(f"unknown generator {unknown[0]!r} in assignment",
                              "coverage")
-    assignment = dict(assignment)
-    if pres.is_star:
-        # the involution forces the partner value; giving it is optional
-        for i, g in enumerate(pres.generators):
-            j = pres.partner(i)
-            pg = pres.generators[j]
-            if j != i and g in assignment and pg not in assignment:
-                assignment[pg] = assignment[g].conjugate()
+    assignment = pres.with_partners(assignment, methodcaller("conjugate"))
     missing = [g for g in pres.generators if g not in assignment]
     if missing:
         raise CharacterError(f"no value for generator {missing[0]!r}", "coverage")
@@ -218,17 +212,13 @@ def naturality_inclusion(p: Character) -> Character:
 
 def extend_character_free(pres: StarPresentation, p: Character) -> Character:
     """Extend a character of an algebra-mode presentation to its free
-    *-algebra by sending each new partner to the conjugate value."""
+    *-algebra: each new partner takes the conjugate value, which
+    ``validate_character`` fills."""
     if pres.is_star:
         raise AlgebraError("extension starts from an algebra-mode presentation")
     if p.pres != pres:
         raise AlgebraError("character does not live on the given presentation")
-    fa = algebra.free_star(pres)
-    assignment: dict[str, Value] = {}
-    for i, g in enumerate(pres.generators):
-        assignment[fa.generators[2 * i]] = p.values[i]
-        assignment[fa.generators[2 * i + 1]] = p.values[i].conjugate()
-    return validate_character(fa, assignment)
+    return validate_character(algebra.free_star(pres), dict(zip(pres.generators, p.values)))
 
 
 def restrict_character_free(pres: StarPresentation, q: Character) -> Character:
@@ -477,7 +467,6 @@ def relative_compactness_check(subject: Union[CompactBox, SampleSet],
     relatively compact at the sampled resolution, while staying below it is
     evidence, not proof.
     """
-    from .parsing import format_poly
     if isinstance(subject, CompactBox):
         bounds = tuple((format_poly(w), to_float(coefficient_bound(w, subject)))
                        for w in witnesses)

@@ -554,6 +554,13 @@ def test_star_poly_from_terms_is_brought_to_normal_form():
     assert cancelled.is_zero() and cancelled.degree() == -1
 
 
+def test_star_poly_from_terms_sums_repeated_monomials():
+    one = ComplexRational(1)
+    x_plus_x = gl.StarPoly(line(), (((1,), one), ((1,), one)))
+    assert x_plus_x == 2 * line().gen("x") and gl.format_poly(x_plus_x) == "2*x"
+    assert gl.StarPoly(line(), (((1,), one), ((1,), -one))).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # the free / underlying adjunction
 # ---------------------------------------------------------------------------
@@ -671,6 +678,69 @@ def test_morphism_apply_and_compose():
     assert gl.compose(ident, f)(d.gen("z")) == f(d.gen("z"))
     with pytest.raises(AlgebraError):
         f(line().gen("x"))
+
+
+# a *-presentation (target) and, for each generator of the source, a
+# character value and an image; the source declares the same names as free
+# generators, as a *-presentation or as a plain algebra
+PARTNER_WORLDS = {
+    "disk": ("algebra Disk ; generator z : free ;",
+             {"z": (ComplexRational(Fraction(3, 5), Fraction(4, 5)), "z^2 + 1/2")}),
+    "two-pairs": ("algebra S ; generator z, w : free ; relation z*adj(z) + w*adj(w) - 1 ;",
+                  {"z": (ComplexRational(Fraction(3, 5)), "z*w + (0+1i)"),
+                   "w": (ComplexRational(0, Fraction(4, 5)), "adj(z)^2 - 1/3*w")}),
+}
+
+
+def _and_partners(given: dict, adjoint) -> dict:
+    return {**given, **{f"adj({g})": adjoint(v) for g, v in given.items()}}
+
+
+def _partner_omitted_and_given(operation: str, world: str) -> list:
+    text, data = PARTNER_WORLDS[world]
+    target = gl.parse_presentation(text)
+    source_text = f"algebra P ; generator {', '.join(data)} : free ;"
+    star_source = gl.parse_presentation(source_text)
+    plain_source = gl.parse_presentation(source_text, mode="algebra")
+    values = {g: v for g, (v, _) in data.items()}
+    images = {g: gl.parse_poly(img, target) for g, (_, img) in data.items()}
+    conjugate = ComplexRational.conjugate
+    if operation == "validate_character":
+        return [gl.validate_character(target, v)
+                for v in (values, _and_partners(values, conjugate))]
+    if operation == "Morphism.create":
+        return [Morphism.create(star_source, target, im, star=True).images
+                for im in (images, _and_partners(images, gl.StarPoly.involute))]
+    if operation == "parse_morphism":
+        omitted = " ; ".join(f"{g} -> {img}" for g, (_, img) in data.items())
+        given = omitted + "".join(f" ; adj({g}) -> adj({img})" for g, (_, img) in data.items())
+        return [gl.parse_morphism(t, star_source, target).images for t in (omitted, given)]
+    free = gl.free_star(plain_source)
+    if operation == "extend_hom":
+        under = gl.underlying(target)
+        f = Morphism.create(plain_source, under,
+                            {g: gl.reinterpret(p, under) for g, p in images.items()})
+        given = _and_partners(images, gl.StarPoly.involute)
+        return [gl.extend_hom(f, target).images,
+                Morphism.create(free, target, given, star=True).images]
+    p = gl.validate_character(plain_source, values)
+    return [gl.extend_character_free(plain_source, p),
+            gl.validate_character(free, _and_partners(values, conjugate))]
+
+
+@pytest.mark.parametrize("world", sorted(PARTNER_WORLDS))
+@pytest.mark.parametrize("operation", ["validate_character", "Morphism.create",
+                                       "parse_morphism", "extend_hom",
+                                       "extend_character_free"])
+def test_an_omitted_partner_gets_the_value_the_involution_forces(operation, world):
+    omitted, given = _partner_omitted_and_given(operation, world)
+    assert omitted == given
+
+
+def test_an_omitted_partner_image_is_missing_without_star():
+    w, d = gl.parse_presentation("algebra W ; generator w : free ;"), disk()
+    with pytest.raises(MorphismError, match="no image for generator 'adj\\(w\\)'"):
+        Morphism.create(w, d, {"w": d.gen("z")}, star=False)
 
 
 def test_underlying_morphism():

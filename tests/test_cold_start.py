@@ -7,10 +7,14 @@ raises ImportError.  This file imports neither numpy nor ``tests/helpers``
 (which loads the package), so it also runs where numpy is not installed.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gelfand_lab"
 
 FILES = {
     "p.star": "algebra P ; generator z : free ; generator x : selfadjoint ; "
@@ -87,6 +91,17 @@ def test_import_loads_no_numpy(tmp_path, module):
     plain = child(f'import sys, {module}; print("numpy" in sys.modules)', tmp_path)
     assert plain.returncode == 0, plain.stderr
     assert plain.stdout == "False\n"
+
+
+def test_no_function_imports_a_package_module():
+    # a "from .x import" inside a function hides a cycle in the import graph
+    inside = [f"{path.name}:{node.lineno}"
+              for path in sorted(SRC.glob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)
+              if isinstance(node, ast.ImportFrom) and node.level]
+    assert inside == []
 
 
 @pytest.mark.parametrize("name", list(EXACT))
