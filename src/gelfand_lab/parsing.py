@@ -19,6 +19,15 @@ Grammar sketch::
     atom         := genRef | "adj" "(" polyExpr ")" | RAT | complexLit | "(" polyExpr ")"
     genRef       := IDENT | "adj" "(" IDENT ")"
     complexLit   := "(" NUM [ ("+" | "-") ( RAT | FLOAT ) "i" ] ")"
+    entries(op, item) := [ genRef op item { sep genRef op item } [ sep ] ]
+    sep          := ";" | ","
+    character    := [ "char" ] ( "{" assignment "}" | assignment )
+    assignment   := entries("=", value)                 (at least one entry)
+    box          := [ "box" ] ( "{" boxEntries "}" | boxEntries )
+    boxEntries   := entries("=", intervals)
+    map          := entries("->", polyExpr)
+    atomicState  := [ "state" ] "atomic" "{" [ atom { ";" atom } [ ";" ] ] "}"
+    atom         := "(" assignment ")" ":" NUM
     value        := complexLit | NUM
     intervals    := interval { "x" interval }
     interval     := "[" NUM "," NUM "]"
@@ -31,9 +40,10 @@ A genRef names one generator: ``adj(z)`` is the partner that a free
 generator ``z`` brings along, or a generator literally called ``adj(z)``
 (the ``free`` and ``underlying`` functors make such names).  In an atom,
 ``adj(IDENT)`` is a genRef only when ``adj(IDENT)`` is a generator; every
-other ``adj(...)`` is the involution of the nested expression.  Character
-and support-point keys, box keys and morphism sources are genRefs, and the
-intervals rule is shared by box entries and ``state density ... on``.
+other ``adj(...)`` is the involution of the nested expression.  One
+reader, ``Parser.entries``, reads every entries list: its keys are genRefs,
+each given once, and the intervals rule is shared by box entries and
+``state density ... on``.
 
 Comments run from ``#`` to end of line.  Whether the presentation is a plain
 algebra or a *-algebra is a parse-time flag, not part of the text; the header
@@ -50,7 +60,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, TypeVar, Union
 
 from . import algebra, spectrum, states
 # the polynomial spelling lives in algebra; it is re-exported here
@@ -60,6 +70,7 @@ from .errors import AlgebraError, ParseError
 from .scalars import ComplexRational
 
 Value = Union[ComplexRational, complex]
+T = TypeVar("T")
 
 _PUNCT = set(";,:^*+-()={}[]/")
 _NUMBER = re.compile(r"([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?")
@@ -78,7 +89,7 @@ MAX_NESTING = 100
 # ── tokens ───────────────────────────────────────────────────────────────
 
 class Token(NamedTuple):
-    kind: str  # ident | nat | float | string | punct | arrow | eof
+    kind: str  # ident | nat | float | string | punct | eof
     text: str
     line: int
     col: int
@@ -124,7 +135,7 @@ def tokenize(text: str) -> list[Token]:
             j = n if j < 0 else j
         elif ch == "-" and text.startswith(">", j):
             j += 1
-            tokens.append(Token("arrow", "->", line, col))
+            tokens.append(Token("punct", "->", line, col))
         elif ch in _PUNCT:
             tokens.append(Token("punct", ch, line, col))
         elif ch == '"':
@@ -384,60 +395,71 @@ class Parser:
             return None
         return ComplexRational(re, im), re_float or im_float
 
-    def scalar_value(self) -> tuple[ComplexRational, Token | None]:
-        """value: a complexLit or a NUM, with its first FLOAT token, if any.
-        Used for character values and atomic state support points."""
+    def scalar_value(self) -> tuple[ComplexRational, Token | None, slice]:
+        """value: a complexLit or a NUM, with its first FLOAT token, if any,
+        and the span of its tokens."""
+        start = self.pos
         lit = self.complex_lit()
         if lit is None:
             re, float_tok = self.num()
             lit = ComplexRational(re), float_tok
-        return lit
+        return *lit, slice(start, self.pos)
+
+    # ── key op value lists ───────────────────────────────────────────
+
+    def entries(self, names: tuple[str, ...], op: str, read: Callable[[], T],
+                closing: str | None = None, role: str = "generator") -> dict[str, T]:
+        """``key op value`` entries, separated by ";" or ",", up to the
+        closing punctuation (left unread) or the end of input: a dict in
+        text order.  A key is a genRef among names, given once."""
+        found: dict[str, T] = {}
+        while not (self.at("punct", closing) if closing else self.at("eof")):
+            start = self.pos
+            key = self.gen_ref(names, role)
+            if key in found:
+                self.error(f"{role} {key!r} given twice", self.tokens[start])
+            self.expect("punct", op)
+            found[key] = read()
+            if not (self.accept("punct", ";") or self.accept("punct", ",")):
+                break
+        return found
+
+    def braced(self, keyword: str, read: Callable[..., T], *args) -> T:
+        """``keyword { ... }`` or the bare contents, the keyword optional:
+        read(*args, closing) reads what stands between the braces."""
+        self.accept("ident", keyword)
+        if not self.accept("punct", "{"):
+            return read(*args)
+        found = read(*args, "}")
+        self.expect("punct", "}")
+        return found
 
     # ── characters ───────────────────────────────────────────────────
 
-    def assignment_entries(self, pres: StarPresentation,
-                           closing: str | None) -> dict[str, Value]:
-        """Values of one assignment: all exact, or (when any literal is a
-        float) all converted to machine complex numbers."""
-        literals: dict[str, tuple[ComplexRational, int, int]] = {}
-        exact = True
-        while True:
-            if closing is not None and self.at("punct", closing):
-                break
-            if closing is None and self.at("eof"):
-                break
-            key = self.gen_ref(pres.generators)
-            if key in literals:
-                self.error(f"generator {key!r} assigned twice")
-            self.expect("punct", "=")
-            start = self.pos
-            value, float_tok = self.scalar_value()
-            literals[key] = (value, start, self.pos)
-            exact = exact and float_tok is None
-            if not (self.accept("punct", ";") or self.accept("punct", ",")):
-                break
+    def assignment(self, pres: StarPresentation,
+                   closing: str | None = None) -> dict[str, Value]:
+        """The values of a character or a support point: all exact, or
+        (when any literal is a float) all converted to machine complex
+        numbers."""
+        literals = self.entries(pres.generators, "=", self.scalar_value, closing)
         if not literals:
             self.error("empty assignment")
-        if exact:
-            return {k: v for k, (v, _, _) in literals.items()}
-        return {k: self._as_float(*lit) for k, lit in literals.items()}
+        if not any(float_tok for _, float_tok, _ in literals.values()):
+            return {key: value for key, (value, _, _) in literals.items()}
+        return {key: self._as_float(value, span)
+                for key, (value, _, span) in literals.items()}
 
-    def _as_float(self, value: ComplexRational, start: int, end: int) -> complex:
+    def _as_float(self, value: ComplexRational, span: slice) -> complex:
         try:
             return complex(value)
         except AlgebraError:
-            text = "".join(tok.text for tok in self.tokens[start:end])
+            text = "".join(tok.text for tok in self.tokens[span])
             self.error(f"numeric literal {text!r} is too large for a floating "
-                       "point value", self.tokens[start])
+                       "point value", self.tokens[span.start])
             raise AssertionError  # unreachable
 
     def character(self, pres: StarPresentation) -> dict[str, Value]:
-        self.accept("ident", "char")
-        if not self.accept("punct", "{"):
-            return self.assignment_entries(pres, closing=None)
-        values = self.assignment_entries(pres, closing="}")
-        self.expect("punct", "}")
-        return values
+        return self.braced("char", self.assignment, pres)
 
     # ── boxes ────────────────────────────────────────────────────────
 
@@ -457,25 +479,7 @@ class Parser:
             self.advance()
 
     def box(self, pres: StarPresentation) -> dict[str, list[tuple[Fraction, Fraction]]]:
-        self.accept("ident", "box")
-        braced = bool(self.accept("punct", "{"))
-        by_gen: dict[str, list[tuple[Fraction, Fraction]]] = {}
-        while True:
-            if braced and self.at("punct", "}"):
-                break
-            if not braced and self.at("eof"):
-                break
-            tok = self.peek()
-            name = self.gen_ref(pres.generators)
-            if name in by_gen:
-                self.error(f"box bounds for {name!r} given twice", tok)
-            self.expect("punct", "=")
-            by_gen[name] = self.intervals()
-            if not self.accept("punct", ";"):
-                break
-        if braced:
-            self.expect("punct", "}")
-        return by_gen
+        return self.braced("box", self.entries, pres.generators, "=", self.intervals)
 
     # ── states ───────────────────────────────────────────────────────
 
@@ -489,7 +493,7 @@ class Parser:
             atoms: list[tuple[dict[str, Value], Fraction]] = []
             while not self.at("punct", "}"):
                 self.expect("punct", "(")
-                values = self.assignment_entries(pres, closing=")")
+                values = self.assignment(pres, ")")
                 self.expect("punct", ")")
                 self.expect("punct", ":")
                 weight, float_tok = self.num()
@@ -523,17 +527,8 @@ class Parser:
 
     def morphism(self, source: StarPresentation,
                  target: StarPresentation) -> dict[str, StarPoly]:
-        images: dict[str, StarPoly] = {}
-        while not self.at("eof"):
-            tok = self.peek()
-            name = self.gen_ref(source.generators, "source generator")
-            if name in images:
-                self.error(f"image of {name!r} given twice", tok)
-            self.expect("arrow")
-            images[name] = self.poly(target)
-            if not self.accept("punct", ";"):
-                break
-        return images
+        return self.entries(source.generators, "->", lambda: self.poly(target),
+                            role="source generator")
 
 
 # ── public entry points ──────────────────────────────────────────────────

@@ -68,7 +68,7 @@ WORLDS = {
     "circle": {
         "presentation": ["@disk.star", "@circle.star"],
         "source": ["@w.star", "@circle.star"], "target": ["@circle.star"],
-        "map": ["w -> z", "z -> adj(z)", "w -> z^2"],
+        "map": ["w -> z", "z -> adj(z)", "w -> z^2", "w -> z , adj(w) -> adj(z)"],
         "poly": ["z", "z*adj(z)", "(1+2i)*z^2 + adj(z)"],
         "char": ["z = (3/5+4/5i)", "z = (0.6+0.8i)", "z = 2"],
         "box": ["z = [-1, 1] x [-1, 1]", "z = [0, 1/2] x [0, 1]"],
@@ -83,8 +83,10 @@ WORLDS = {
         "source": ["@line.star"], "target": ["@sphere.star"],
         "map": ["x -> x*y + z", "x -> 1"],
         "poly": ["x*y + z", "x^2 + y^2", "z^3"],
-        "char": ["x = 1 ; y = 0 ; z = 0", "x = 3/5 ; y = 4/5 ; z = 0"],
-        "box": ["x = [-1, 1] ; y = [0, 1] ; z = [0, 1]"],
+        "char": ["x = 1 ; y = 0 ; z = 0", "x = 3/5 ; y = 4/5 ; z = 0",
+                 "x = 0 , y = 1 , z = 0"],
+        "box": ["x = [-1, 1] ; y = [0, 1] ; z = [0, 1]",
+                "x = [-1, 1] , y = [-1, 1] , z = [0, 1]"],
         "state": ["state atomic { (x = 1 ; y = 0 ; z = 0) : 1 }",
                   "state atomic { (x = 0 ; y = 3/5 ; z = 4/5) : 1/2 ; "
                   "(x = 0 ; y = 0 ; z = -1) : 1/2 }"],

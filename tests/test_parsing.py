@@ -564,6 +564,48 @@ def test_morphism_parse():
         gl.parse_morphism("z -> z ; z -> z^2", d, d)
 
 
+# ---------------------------------------------------------------------------
+# key op value lists: one separator rule, one duplicate-key error
+# ---------------------------------------------------------------------------
+
+def _cube():
+    return gl.parse_presentation("algebra P ; generator x, y, z : selfadjoint ;")
+
+
+# each form: its parse, its presentation, a ";" spelling, and a repeated key
+# with the line:column of its repeat
+ENTRY_FORMS = {
+    "character": (gl.parse_character, sphere, "x = 3/5 ; y = 4/5 ; z = 0",
+                  "x = 1 ; y = 0 ; x = 0", "1:17"),
+    "support-point": (lambda t, p: gl.parse_state(t, p).source, sphere,
+                      "state atomic { (x = 0 ; y = 3/5 ; z = 4/5) : 1/2 ; "
+                      "(x = 0 ; y = 0 ; z = -1) : 1/2 }",
+                      "state atomic { (x = 1 ; x = 0) : 1 }", "1:25"),
+    "box": (lambda t, p: gl.parse_box(t, p).intervals, _cube,
+            "x = [-1, 1] ; y = [0, 1/2] ; z = [0.5, 1]",
+            "x = [0, 1] ;\n  y = [0, 1] ; x = [0, 2]", "2:16"),
+    "map": (lambda t, p: gl.parse_morphism(t, p, p).images, _cube,
+            "x -> x*y + z ; y -> 1/2 ; z -> adj(z)",
+            "x -> y ; y -> x ; z -> z ; x -> 1", "1:28"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(ENTRY_FORMS))
+def test_entry_lists_take_either_separator(form):
+    parse, pres, semicolons, _, _ = ENTRY_FORMS[form]
+    commas = semicolons.replace(" ; y", " , y").replace(" ; z", " , z")
+    assert commas.count(",") > semicolons.count(",")
+    assert parse(commas, pres()) == parse(semicolons, pres())
+
+
+@pytest.mark.parametrize("form", sorted(ENTRY_FORMS))
+def test_a_repeated_key_is_reported_at_the_key(form):
+    parse, pres, _, text, where = ENTRY_FORMS[form]
+    role = "source generator" if form == "map" else "generator"
+    with pytest.raises(ParseError, match=f"^{where}: {role} 'x' given twice$"):
+        parse(text, pres())
+
+
 def test_format_value_and_character():
     assert gl.format_value(ComplexRational(Fraction(1, 2))) == "1/2"
     assert gl.format_value(complex(0.5, 0)) == "0.5"
